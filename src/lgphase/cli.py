@@ -11,11 +11,12 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
 
-from . import cones, generate, linalg, orbifold, phases, report
+from . import cones, generate, orbifold, phases, report
 from .errors import LgPhaseError, ParseError
 
 __all__ = [
@@ -63,13 +64,12 @@ def cmd_orbifold(args):
     chosen = report.parse_index_list(args.chosen)
     w = phases.check_witness(cm, chosen)
     od = orbifold.orbifold_group(w)
-    snf = linalg.smith_normal_form(w.vev_block)
     payload = {
         "chosen": [str(j) for j in w.chosen],
         "smith": {
-            "u": report.report_matrix(snf.u),
-            "d": report.report_matrix(snf.d),
-            "v": report.report_matrix(snf.v),
+            "u": report.report_matrix(od.smith.u),
+            "d": report.report_matrix(od.smith.d),
+            "v": report.report_matrix(od.smith.v),
         },
         "invariant_factors": [str(d) for d in od.invariant_factors],
         "effective_factors": [str(d) for d in orbifold.effective_factors(od)],
@@ -172,6 +172,8 @@ def cmd_check(args):
         raise ParseError(
             f"{args.monomials}: bad JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except ValueError as e:
+        raise ParseError(f"{args.monomials}: {e}") from None
     if not isinstance(data, list) or not all(isinstance(m, list) for m in data):
         raise ParseError(f"{args.monomials}: expected a JSON list of exponent vectors")
     monomials = [[report._int_from_cell(c, f"monomial {i}") for c in m] for i, m in enumerate(data)]
@@ -182,7 +184,9 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="JSON output (the default)")
     common.add_argument("--table", action="store_true", help="human-readable output")
@@ -230,9 +234,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -183,6 +183,8 @@ class _Matrix:
 
 
 def _check_int(x):
+    if type(x) is bool:
+        raise TypeError("refusing a boolean entry; pass an integer")
     return int(operator.index(x))
 
 

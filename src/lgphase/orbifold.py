@@ -13,20 +13,28 @@ diagonal torus, as the pair (exponent, Hermite basis) of the lattice
 ``L = Z^n + sum_a Z * row_a / d_a``.  Two actions have equal images exactly
 when these pairs are equal.
 
-``canonical_action`` canonicalizes the quotient presentation up to monomial
-isomorphism: coordinatewise ray rescaling (replace a coordinate by the
-power that makes its axis primitive in ``L``) followed by the
-lexicographically minimal Hermite form over coordinate permutations.  Two
-phases of one model always agree under this form; the image subgroups alone
-may differ, for instance a Z8 acting with weights (1,2,2,2) presents the
-same quotient as a Z4 with weights (1,1,1,1) after squaring the first
-coordinate.
+``canonical_torus_action`` (returned by ``canonical_action``) canonicalizes
+the quotient presentation up to monomial isomorphism: coordinatewise ray
+rescaling (replace a coordinate by the power that makes its axis primitive
+in ``L``) followed by the lexicographically minimal Hermite form over
+coordinate permutations.  Two phases of one model always agree under this
+form; the image subgroups alone may differ, for instance a Z8 acting with
+weights (1,2,2,2) presents the same quotient as a Z4 with weights (1,1,1,1)
+after squaring the first coordinate.
+
+Neither step searches blindly.  The rescaling of coordinate ``j`` is read
+off the last pivot of a Hermite form with column ``j`` moved last, which
+generates ``L``'s intersection with that axis; no divisors are enumerated.
+The permutation search skips arrangements that differ by a lattice
+automorphism: coordinates whose transposition fixes the lattice form
+blocks, and only distinct sequences of block labels are tried.  The form
+itself is the one a search over every permutation would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import gcd, lcm, prod
 
 from . import linalg
@@ -51,13 +59,15 @@ class OrbifoldData:
     ``invariant_factors`` ascend with ``d_1 | d_2 | ...``; row ``a`` of
     ``action_exponents`` is reduced into ``[0, d_a)``; ``group_order`` is
     the product of the factors; ``canonical_lattice`` is the output of
-    :func:`canonical_action`.
+    :func:`canonical_torus_action`; ``smith`` is the decomposition
+    ``D = U R V`` of the vev block that the factors come from.
     """
 
     invariant_factors: tuple
     action_exponents: IntMatrix
     group_order: int
     canonical_lattice: IntMatrix
+    smith: linalg.SmithDecomposition
 
     @property
     def num_coords(self):
@@ -89,6 +99,7 @@ def orbifold_group(w):
         action_exponents=exps,
         group_order=prod(factors) if factors else 1,
         canonical_lattice=lattice,
+        smith=snf,
     )
 
 
@@ -132,18 +143,6 @@ def _hnf_contains(hnf, vec):
     return not any(v)
 
 
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _stacked_lattice(rows, orders, n, scale_num, col_scale):
     """Hermite basis of ``scale_num * diag(col_scale) * (Z^n + sum Z row_a/d_a)``."""
     gens = []
@@ -185,16 +184,84 @@ def torus_subgroup_lattice(rows, orders, num_coords):
     return m, h
 
 
+def _swap_fixes(hnf, i, j):
+    """Whether swapping coordinates ``i`` and ``j`` maps the full-rank lattice to itself.
+
+    The swapped lattice has the same covolume, so containing the swapped
+    basis rows already makes it equal.
+    """
+    for row in hnf.rows:
+        v = list(row)
+        v[i], v[j] = v[j], v[i]
+        if not _hnf_contains(hnf, v):
+            return False
+    return True
+
+
+def _multiset_permutations(items):
+    """Distinct orderings of ``items`` in lexicographic order, by next-permutation."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        k = len(a) - 1
+        while a[k] <= a[i]:
+            k -= 1
+        a[i], a[k] = a[k], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
+def _class_arrangements(base, cls):
+    """Orderings of one equal-order class that can give distinct Hermite forms.
+
+    Coordinates whose transposition fixes the lattice form blocks (the
+    relation is an equivalence: ``(i k) = (i j)(j k)(i j)``).  Permuting
+    inside a block is an automorphism, so only the sequence of block labels
+    matters; each distinct sequence is realized once, filling every block's
+    slots with its members in increasing order.
+    """
+    blocks = []
+    labels = []
+    for j in cls:
+        for b, block in enumerate(blocks):
+            if _swap_fixes(base, block[0], j):
+                block.append(j)
+                labels.append(b)
+                break
+        else:
+            labels.append(len(blocks))
+            blocks.append([j])
+    out = []
+    for seq in _multiset_permutations(labels):
+        members = [iter(block) for block in blocks]
+        out.append(tuple(next(members[b]) for b in seq))
+    return out
+
+
 def canonical_torus_action(rows, orders, num_coords):
     """Canonical integer lattice of a diagonal finite-group action on ``C^n``.
 
     The subgroup ``L/Z^n`` of the torus generated by ``row_a / d_a`` is
-    normalized in three steps: make every coordinate axis primitive in
-    ``L`` by rescaling that coordinate, clear denominators with the
-    exponent of the rescaled lattice, then minimize the Hermite basis
-    lexicographically over coordinate permutations.  Coordinates can only
-    trade places when their projections to the torus have equal order, so
-    the permutation search runs inside those classes.
+    normalized in three steps:
+
+    1. Make every coordinate axis primitive in ``L`` by rescaling that
+       coordinate.  With ``m0 = lcm(d_a)``, the Hermite form of ``m0 * L``
+       with column ``j`` moved last ends in the pivot ``k_j`` that generates
+       the lattice's intersection with axis ``j``; ``k_j`` divides ``m0``
+       and coordinate ``j`` is scaled by ``m0 / k_j``.
+    2. Clear denominators with the exponent ``m`` of the rescaled lattice.
+    3. Take the lexicographically minimal Hermite form over coordinate
+       permutations.  Coordinates can only trade places when their
+       projections to the torus have equal order, so the search runs
+       inside those classes.  Within a class, coordinates whose swap fixes
+       the lattice are interchangeable, and only the distinct arrangements
+       of those blocks are tried (automorphism pruning in the sense of
+       McKay & Piperno, 2014).  The minimum is the same as over every
+       permutation; a class with no such swaps still costs ``k!`` forms.
     """
     rows = [tuple(int(e) for e in row) for row in rows]
     orders = [int(d) for d in orders]
@@ -209,15 +276,12 @@ def canonical_torus_action(rows, orders, num_coords):
     if m0 == 1:
         return IntMatrix.identity(n)
     h0 = _stacked_lattice(rows, orders, n, m0, [1] * n)
-    # largest c with e_j / c in L, coordinate by coordinate
+    # largest c with e_j / c in L: the last pivot with column j moved last
     scale = []
     for j in range(n):
-        k = next(
-            k
-            for k in _divisors(m0)
-            if _hnf_contains(h0, tuple(k if i == j else 0 for i in range(n)))
-        )
-        scale.append(m0 // k)
+        order = [i for i in range(n) if i != j] + [j]
+        hj = linalg.hermite_normal_form(h0.select_columns(order))
+        scale.append(m0 // hj.rows[-1][-1])
     h1 = _stacked_lattice(rows, orders, n, m0, scale)
     g = m0
     for row in h1.rows:
@@ -237,14 +301,9 @@ def canonical_torus_action(rows, orders, num_coords):
     for j in range(n):
         classes.setdefault(proj[j], []).append(j)
     ordered_classes = [classes[o] for o in sorted(classes, reverse=True)]
-    best = None
-    for arrangement in product(*(permutations(c) for c in ordered_classes)):
-        perm = tuple(j for group in arrangement for j in group)
-        permuted = IntMatrix(
-            tuple(tuple(row[j] for j in perm) for row in base.rows), ncols=n
-        )
-        cand = linalg.hermite_normal_form(permuted)
-        key = cand.rows
-        if best is None or key < best:
-            best = key
+    arrangements = product(*(_class_arrangements(base, c) for c in ordered_classes))
+    best = min(
+        linalg.hermite_normal_form(base.select_columns([j for group in arr for j in group])).rows
+        for arr in arrangements
+    )
     return IntMatrix(best, ncols=n)

@@ -65,6 +65,9 @@ def parse_charge_matrix(text, source="input"):
             data = json.loads(stripped)
         except json.JSONDecodeError as e:
             raise ParseError(f"{source}: bad JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except ValueError as e:
+            # integers past the interpreter's digit limit for str -> int
+            raise ParseError(f"{source}: {e}") from None
         if isinstance(data, dict):
             if "Q" not in data:
                 raise ParseError(f"{source}: JSON object lacks the key \"Q\"")

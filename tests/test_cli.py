@@ -124,6 +124,22 @@ class TestErrorPaths:
         code, _ = run(capsys, ["phases", str(path)])
         assert code == 2
 
+    def test_huge_json_integer_exit_two(self, capsys):
+        # past the interpreter's 4300-digit limit json.loads raises a plain
+        # ValueError, not JSONDecodeError
+        code = main(["phases", "[[1,1,-" + "9" * 5000 + "]]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: inline matrix:")
+
+    def test_huge_monomial_exponent_exit_two(self, capsys, twolg_file, tmp_path):
+        mono = tmp_path / "mono.json"
+        mono.write_text("[[" + "9" * 5000 + ",0,0,0,0,0]]")
+        code = main(["check", twolg_file, "--monomials", str(mono)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_subcommand_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -135,6 +151,25 @@ class TestErrorPaths:
         code, _ = run(capsys, ["orbifold", "[[1,1,0,0,-2],[0,0,1,1,-2]]",
                                "--chosen", "0,1"])
         assert code == 1
+
+
+class TestRepeatedCalls:
+    def test_options_do_not_leak_between_calls(self, capsys, twolg_file):
+        # the parser is built once per process; every call must start from
+        # the defaults again
+        code, out = run(capsys, ["phases", twolg_file, "--quiet", "--no-prune", "--seed", "7"])
+        assert (code, out) == (0, "")
+        code, out = run(capsys, ["phases", twolg_file])
+        assert code == 0
+        assert [p["chosen"] for p in json.loads(out)["phases"]] == [["0", "5"], ["4", "5"]]
+        code, out = run(capsys, ["generate", "--r", "1", "--n", "2", "--quiet"])
+        assert (code, out) == (0, "")
+        code, out = run(capsys, ["generate", "--r", "1", "--n", "2"])
+        assert json.loads(out)["config"]["seed"] == "0"
+        code, out = run(capsys, ["orbifold", twolg_file, "--chosen", "4,5", "--table"])
+        assert out.startswith("chosen columns: 4, 5")
+        code, out = run(capsys, ["orbifold", twolg_file, "--chosen", "4,5"])
+        assert json.loads(out)["effective_factors"] == ["8"]
 
 
 class TestOrbifoldCommand:

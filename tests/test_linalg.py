@@ -65,6 +65,12 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             RatMatrix([[0.25]])
 
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError):
+            IntMatrix([[True, False, -1]])
+        with pytest.raises(TypeError):
+            IntMatrix([[1, 0, -1]]) * IntMatrix([[False], [0], [0]])
+
     def test_empty_needs_ncols(self):
         m = IntMatrix([], ncols=3)
         assert m.shape == (0, 3)

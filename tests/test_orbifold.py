@@ -1,6 +1,8 @@
 """Residual group data: pinned models, oracles, and presentation invariance."""
 
 import random
+from itertools import permutations, product
+from math import gcd, lcm
 
 import pytest
 
@@ -16,10 +18,12 @@ from lgphase import (
     determinant,
     effective_factors,
     enumerate_phases,
+    hermite_normal_form,
     make_charge_matrix,
     orbifold_group,
     torus_subgroup_lattice,
 )
+from lgphase import linalg
 
 TWOLG = [[0, 1, 1, 1, 1, -4], [1, 0, 0, 0, -2, 0]]
 RWP4 = [[0, 0, 1, 1, 1, 1, -4], [1, 1, 0, 0, 0, -2, 0]]
@@ -27,6 +31,63 @@ RWP4 = [[0, 0, 1, 1, 1, 1, -4], [1, 1, 0, 0, 0, -2, 0]]
 
 def witness(rows, chosen):
     return check_witness(make_charge_matrix(rows), chosen)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for canonical_torus_action: the axis rescaling by a
+# divisor scan and the minimum over every permutation inside each class
+
+
+def _divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.extend({d, n // d})
+        d += 1
+    return sorted(out)
+
+
+def _contains(hnf, vec):
+    v = list(vec)
+    for row in hnf.rows:
+        p = next(j for j, e in enumerate(row) if e)
+        if v[p] % row[p]:
+            return False
+        q = v[p] // row[p]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def _stacked(rows, orders, n, m0, col_scale):
+    gens = [tuple(m0 // d * c * e for c, e in zip(col_scale, row)) for row, d in zip(rows, orders)]
+    gens += [tuple(m0 * col_scale[i] if j == i else 0 for j in range(n)) for i in range(n)]
+    return hermite_normal_form(IntMatrix(gens, ncols=n))
+
+
+def brute_canonical_torus_action(rows, orders, n):
+    m0 = lcm(*orders)
+    if m0 == 1:
+        return IntMatrix.identity(n)
+    h0 = _stacked(rows, orders, n, m0, [1] * n)
+    scale = [
+        m0 // next(k for k in _divisors(m0)
+                   if _contains(h0, [k if i == j else 0 for i in range(n)]))
+        for j in range(n)
+    ]
+    h1 = _stacked(rows, orders, n, m0, scale)
+    g = gcd(m0, *(e for row in h1.rows for e in row))
+    m = m0 // g
+    if m == 1:
+        return IntMatrix.identity(n)
+    base = [[e // g for e in row] for row in h1.rows]
+    proj = [m // gcd(m, *(row[j] for row in base)) for j in range(n)]
+    classes = [[j for j in range(n) if proj[j] == o] for o in sorted(set(proj), reverse=True)]
+    best = min(
+        hermite_normal_form(IntMatrix([[row[j] for group in arr for j in group] for row in base])).rows
+        for arr in product(*(permutations(c) for c in classes))
+    )
+    return IntMatrix(best, ncols=n)
 
 
 class TestOrbifoldGroup:
@@ -257,3 +318,42 @@ class TestPresentationInvariance:
                 alt_rows = [alt.row(a) for a in range(alt.nrows)]
                 assert torus_subgroup_lattice(alt_rows, orders, od.num_coords) == base_sub
                 assert canonical_torus_action(alt_rows, orders, od.num_coords) == base_can
+
+
+class TestCanonicalFormOracle:
+    """The pruned search returns the brute-force minimum, in few Hermite forms."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(131)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            orders = [rng.choice([2, 3, 4, 5, 6, 8, 12, 60]) for _ in range(rng.randint(1, 3))]
+            repeated = rng.random() < 0.5
+            rows = []
+            for d in orders:
+                pool = [rng.randrange(d) for _ in range(2 if repeated else n)]
+                rows.append([rng.choice(pool) for _ in range(n)])
+            assert canonical_torus_action(rows, orders, n) == \
+                brute_canonical_torus_action(rows, orders, n)
+
+    @pytest.mark.parametrize(
+        "rows, orders, n, cap",
+        [
+            ([(1,) * 10], [10], 10, 60),  # K over P^9: one block of ten
+            ([(1, 1)], [10**20 + 39], 2, 60),  # Z_D past trial division
+            # K over P^3 x P^3: two blocks in one class, C(8, 4) arrangements
+            ([(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)], [4, 4], 8, 100),
+        ],
+    )
+    def test_hermite_calls_capped(self, monkeypatch, rows, orders, n, cap):
+        calls = []
+        hnf = linalg.hermite_normal_form
+
+        def counted(m):
+            calls.append(m)
+            return hnf(m)
+
+        monkeypatch.setattr(linalg, "hermite_normal_form", counted)
+        lattice = canonical_torus_action(rows, orders, n)
+        assert len(calls) <= cap
+        assert lattice.shape == (n, n)
