@@ -22,6 +22,7 @@ from .cones import (
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
+    InternalCheckFailed,
     LevelNotInImage,
     LgPhaseError,
     NotInterior,
@@ -150,4 +151,5 @@ __all__ = [
     "NotInterior",
     "RejectionBudgetExceeded",
     "ParseError",
+    "InternalCheckFailed",
 ]

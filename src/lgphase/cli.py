@@ -174,6 +174,8 @@ def cmd_check(args):
         ) from None
     except ValueError as e:
         raise ParseError(f"{args.monomials}: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{args.monomials}: JSON nested too deeply") from None
     if not isinstance(data, list) or not all(isinstance(m, list) for m in data):
         raise ParseError(f"{args.monomials}: expected a JSON list of exponent vectors")
     monomials = [[report._int_from_cell(c, f"monomial {i}") for c in m] for i, m in enumerate(data)]

@@ -13,6 +13,7 @@ __all__ = [
     "NotInterior",
     "RejectionBudgetExceeded",
     "ParseError",
+    "InternalCheckFailed",
 ]
 
 
@@ -78,3 +79,11 @@ class RejectionBudgetExceeded(LgPhaseError):
 
 class ParseError(LgPhaseError):
     """Input text could not be parsed as a charge matrix or level."""
+
+
+class InternalCheckFailed(LgPhaseError):
+    """An exact identity the computation relies on did not hold.
+
+    This signals a defect in the package, not bad input: the result that
+    failed the check is withheld rather than returned wrong.
+    """

@@ -107,16 +107,6 @@ class GeneratorConfig:
             raise ValueError("negative padding count")
 
 
-def _column_in_negative_cone(block_rows, det, col):
-    """Exact test ``R^{-1} col <= 0`` by Cramer sign comparison."""
-    r = len(block_rows)
-    for a in range(r):
-        patched = [row[:a] + [col[i]] + row[a + 1 :] for i, row in enumerate(block_rows)]
-        if linalg._det_rows(patched) * det > 0:
-            return False
-    return True
-
-
 def random_lg_model(cfg):
     """Draw one charge matrix guaranteed to carry the constructional witness.
 
@@ -127,20 +117,23 @@ def random_lg_model(cfg):
     rng = SplitMix64(cfg.seed)
     r, n = cfg.r, cfg.n
     eb, sb = cfg.entry_bound, cfg.sample_bound
+    identity = [[int(a == b) for b in range(r)] for a in range(r)]
     for _ in range(ATTEMPT_BUDGET):
         block = [[rng.int_between(-eb, eb) for _ in range(r)] for _ in range(r)]
-        det = linalg._det_rows(block)
-        if det:
+        p, t = linalg._fraction_free_solve([x + e for x, e in zip(block, identity)], range(r))
+        if p:
             break
     else:
         raise RejectionBudgetExceeded(ATTEMPT_BUDGET, "no nonsingular square block found")
+    # p * R^-1: column c is in the closed negative cone iff p * (p * R^-1 c) <= 0
+    scaled_inverse = [row[r:] for row in t]
     cols = []
     for _ in range(n):
         for _ in range(ATTEMPT_BUDGET):
             c = [rng.int_between(-sb, sb) for _ in range(r)]
             if not cfg.allow_zero_columns and not any(c):
                 continue
-            if _column_in_negative_cone(block, det, c):
+            if all(p * sum(x * y for x, y in zip(row, c)) <= 0 for row in scaled_inverse):
                 cols.append(c)
                 break
         else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSquare, SingularMatrix
 
@@ -49,7 +49,7 @@ def xgcd(a, b):
     """Extended gcd.  Returns ``(x, y, g)`` with ``x*a + y*b == g == gcd(a, b) >= 0``.
 
     >>> xgcd(12, -8)
-    (1, 1, 4)
+    (-1, -2, 4)
     >>> xgcd(0, 0)
     (1, 0, 0)
     """
@@ -289,33 +289,96 @@ def determinant(m):
 
 
 # ---------------------------------------------------------------------------
-# rational Gauss-Jordan
+# fraction-free Gauss-Jordan
+
+
+def _exchange(t, a, c, p):
+    """One exact pivot of the integer tableau ``t`` on entry ``(a, c)``, in place.
+
+    ``p`` is the previous pivot.  Every row but ``a`` becomes
+    ``(q * t[i] - t[i][c] * t[a]) // p`` with ``q = t[a][c]``; row ``a``
+    stays.  When ``t == p * B^-1 * M`` with ``p == det B`` for a block
+    ``B`` of columns of ``M`` and unit vectors, the result is the same for
+    ``B`` with its column ``a`` replaced by column ``c`` of ``M``, whose
+    determinant is ``q``.  The division is exact because every entry is a
+    minor of ``[M | I]``.  Returns ``q``.
+    """
+    ta = t[a]
+    q = ta[c]
+    for i, ti in enumerate(t):
+        if i != a:
+            f = ti[c]
+            t[i] = [(q * x - f * y) // p for x, y in zip(ti, ta)]
+    return q
+
+
+def _pivot_in(t, p, basis, cols, free):
+    """Exchange the columns ``cols`` into the tableau ``t`` (pivot ``p``), in place.
+
+    ``basis[a]`` names the column held by row ``a`` (``None`` for a unit
+    vector that no column has replaced yet).  Each column in turn is
+    pivoted into the first row of ``free`` with a nonzero entry in it, and
+    that row leaves ``free``.  Returns ``(pivot, True)``, or
+    ``(pivot, False)`` as soon as a column finds no such row: the target
+    block is then singular, and ``t``, ``basis`` and the pivot describe the
+    nonsingular block reached so far.
+    """
+    free = list(free)
+    for c in cols:
+        a = next((i for i in free if t[i][c]), None)
+        if a is None:
+            return p, False
+        free.remove(a)
+        p = _exchange(t, a, c, p)
+        basis[a] = c
+    return p, True
+
+
+def _fraction_free_solve(rows, cols):
+    """Fraction-free Gauss-Jordan elimination of the columns ``cols`` of ``rows``.
+
+    ``R`` is the square block of ``rows`` in the columns ``cols`` (in that
+    order).  Returns ``(p, T)`` with ``T == p * R^-1 * rows`` as integer
+    row lists, where ``p`` is the last Bareiss pivot (``+-det R``), or
+    ``(0, None)`` when ``R`` is singular.  Row ``k`` of ``T`` belongs to
+    column ``cols[k]``, which ``T`` holds as ``p`` times a unit vector.
+
+    >>> _fraction_free_solve([[2, 1, 1, 0], [1, 1, 0, 1]], (0, 1))
+    (1, [[1, 0, 1, -1], [0, 1, -1, 2]])
+    >>> _fraction_free_solve([[1, 2], [2, 4]], (0, 1))
+    (0, None)
+    """
+    t = [list(r) for r in rows]
+    basis = [None] * len(t)
+    p, ok = _pivot_in(t, 1, basis, cols, range(len(t)))
+    if not ok:
+        return 0, None
+    row_of = {c: a for a, c in enumerate(basis)}
+    return p, [t[row_of[c]] for c in cols]
 
 
 def invert_rational(m):
     """Exact inverse of a square integer or rational matrix, as ``RatMatrix``.
 
-    Raises :class:`SingularMatrix` when no inverse exists.
+    Each row is scaled by the lcm of its denominators, the integer matrix
+    is inverted fraction-free, and column ``j`` of the result is multiplied
+    back by the scale of row ``j``.  Raises :class:`SingularMatrix` when no
+    inverse exists.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"inverse needs a square matrix, got {m.shape}")
     n = m.nrows
+    scales = [lcm(*(e.denominator for e in row)) for row in m.rows]
     aug = [
-        [Fraction(e) for e in m.row(i)] + [Fraction(1 if k == i else 0) for k in range(n)]
-        for i in range(n)
+        [e.numerator * (s // e.denominator) for e in row] + [int(k == i) for k in range(n)]
+        for i, (row, s) in enumerate(zip(m.rows, scales))
     ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [e / p for e in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return RatMatrix(tuple(tuple(r[n:]) for r in aug), ncols=n)
+    p, t = _fraction_free_solve(aug, range(n))
+    if p == 0:
+        raise SingularMatrix("matrix is singular")
+    return RatMatrix(
+        tuple(tuple(Fraction(x * s, p) for x, s in zip(row[n:], scales)) for row in t), ncols=n
+    )
 
 
 def solve_exact(a, b):

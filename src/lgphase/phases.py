@@ -12,16 +12,22 @@ All arithmetic is exact.  The criterion is evaluated on the canonical
 saturated row basis of ``Q`` (see :func:`lgphase.linalg.row_space_reduce`),
 which leaves the answer, the row-reduced matrix, and every downstream
 invariant unchanged while making rank-deficient input well defined.
+
+For a block ``R`` of ``r`` columns, fraction-free Gauss-Jordan elimination
+gives the integer tableau ``T = p * R^-1 * Q`` with ``p = +-det R``.  The
+block is a witness exactly when ``p * T`` is ``<= 0`` outside the chosen
+columns, and ``R^-1 Q = T / p`` is its row-reduced matrix.  The search
+moves this one tableau from subset to subset by single-column exchanges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from . import linalg
-from .errors import DimensionMismatch, EmptyMatrix, NotNegativeCone, SingularChoice
+from .errors import DimensionMismatch, EmptyMatrix, InternalCheckFailed, NotNegativeCone, SingularChoice
 from .linalg import IntMatrix, RatMatrix
 
 __all__ = [
@@ -65,7 +71,8 @@ class ChargeMatrix:
         piv = self.pivot_columns
         p_inv = linalg.invert_rational(self.reduced.select_columns(piv))
         b = self.matrix.select_columns(piv).to_rational() * p_inv
-        assert b * self.reduced.to_rational() == self.matrix.to_rational()
+        if b * self.reduced.to_rational() != self.matrix.to_rational():
+            raise InternalCheckFailed("basis map does not carry the reduced rows onto the input")
         return b
 
 
@@ -134,8 +141,13 @@ def check_witness(cm, chosen):
 
     ``chosen`` must list ``r`` distinct column indices.  Raises
     :class:`SingularChoice` when the block is singular and
-    :class:`NotNegativeCone` (with the offending row and column) when some
-    non-chosen column falls outside the negative cone of the block.
+    :class:`NotNegativeCone` (with the offending row and column, the first
+    in column-then-row order) when some non-chosen column falls outside the
+    negative cone of the block.
+
+    One fraction-free elimination gives ``p * R^-1 * Q`` with ``p = +-det R``;
+    its entries are integers, so the sign test ``p * entry <= 0`` and the
+    row-reduced matrix ``entry / p`` are both read off it exactly.
     """
     idx = tuple(sorted(chosen))
     if len(idx) != cm.rank or len(set(idx)) != len(idx):
@@ -143,30 +155,69 @@ def check_witness(cm, chosen):
     for j in idx:
         if not 0 <= j < cm.num_fields:
             raise ValueError(f"column index {j} out of range for {cm.num_fields} fields")
-    r = cm.rank
-    cols = cm.reduced.columns()
-    block_rows = [[cols[j][a] for j in idx] for a in range(r)]
-    det = linalg._det_rows(block_rows)
-    if det == 0:
+    p, t = linalg._fraction_free_solve(cm.reduced.rows, idx)
+    if p == 0:
         raise SingularChoice(f"columns {idx} are linearly dependent")
     rest = tuple(j for j in range(cm.num_fields) if j not in set(idx))
-    # Cramer sign test: (R^-1 c)_a <= 0  iff  det(R with column a -> c) * det <= 0.
     for j in rest:
-        c = cols[j]
-        for a in range(r):
-            patched = [row[:a] + [c[i]] + row[a + 1 :] for i, row in enumerate(block_rows)]
-            if linalg._det_rows(patched) * det > 0:
+        for a, row in enumerate(t):
+            if row[j] * p > 0:
                 raise NotNegativeCone(a, j)
-    vev_block = cm.reduced.select_columns(idx)
-    row_reduced = linalg.invert_rational(vev_block) * cm.reduced.to_rational()
-    coord_block = cm.reduced.select_columns(rest)
+    row_reduced = RatMatrix(
+        tuple(tuple(Fraction(x, p) for x in row) for row in t), ncols=cm.num_fields
+    )
     return HerbstWitness(
         charge=cm,
         chosen=idx,
-        vev_block=vev_block,
-        coord_block=coord_block,
+        vev_block=cm.reduced.select_columns(idx),
+        coord_block=cm.reduced.select_columns(rest),
         row_reduced=row_reduced,
     )
+
+
+def _revolving_door(n, t):
+    """Every ``t``-subset of ``range(n)`` as an ascending tuple, each one
+    exchange away from the last.
+
+    Knuth's Algorithm R (TAOCP 7.2.1.3), generated lazily.
+
+    >>> list(_revolving_door(4, 2))
+    [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
+    """
+    if t > n:
+        return
+    c = [*range(t), n]  # c[t] is a sentinel
+    yield tuple(c[:t])
+    if t == 0:
+        return
+    while True:
+        if t % 2 and c[0] + 1 < c[1]:
+            c[0] += 1
+        elif t % 2 == 0 and c[0] > 0:
+            c[0] -= 1
+        else:
+            k, decrease = 1, t % 2 == 1
+            while k < t:
+                if decrease and c[k] > k:  # here c[k] == c[k - 1] + 1
+                    c[k - 1], c[k] = k - 1, c[k - 1]
+                    break
+                if not decrease and c[k] + 1 < c[k + 1]:  # here c[k - 1] == k - 1
+                    c[k - 1], c[k] = c[k], c[k] + 1
+                    break
+                k, decrease = k + 1, not decrease
+            else:
+                return
+        yield tuple(c[:t])
+
+
+def _inside_negative_cone(t, p):
+    """True when the tableau ``t == p * B^-1 * Q`` is ``<= 0`` off its basis.
+
+    Row ``a`` holds ``p`` in its own basis column and ``0`` in the others,
+    so it passes exactly when that is its only entry of the sign of ``p``.
+    """
+    same_sign = (0).__lt__ if p > 0 else (0).__gt__
+    return all(sum(map(same_sign, row)) == 1 for row in t)
 
 
 def enumerate_phases(cm, prune=True):
@@ -175,14 +226,27 @@ def enumerate_phases(cm, prune=True):
     With ``prune`` (the default) only subsets of :func:`candidate_columns`
     are tried; without it every ``r``-subset of columns is tested.  The two
     settings return identical lists.
+
+    The subsets are walked in revolving-door order, so each differs from
+    the last by one column and the integer tableau ``p * B^-1 * Q`` of the
+    previous block ``B`` needs one exact pivot, in the row of the leaving
+    column.  A zero pivot entry is ``+-det`` of the new block: that subset
+    is singular and skipped, the tableau stays on the last nonsingular
+    block, and the next subset is reached from there by one pivot per
+    column that differs.  Only the first block is factorized from scratch.
+    Every subset that passes is verified again by :func:`check_witness`.
     """
     pool = candidate_columns(cm) if prune else tuple(range(cm.num_fields))
+    t, p, basis = [list(row) for row in cm.reduced.rows], 1, [None] * cm.rank
     found = []
-    for combo in combinations(pool, cm.rank):
-        try:
-            found.append(check_witness(cm, combo))
-        except (SingularChoice, NotNegativeCone):
-            continue
+    for subset in _revolving_door(len(pool), cm.rank):
+        cols = [pool[k] for k in subset]
+        keep, held = set(cols), set(basis)
+        leaving = [a for a, c in enumerate(basis) if c not in keep]
+        p, ok = linalg._pivot_in(t, p, basis, [c for c in cols if c not in held], leaving)
+        if ok and _inside_negative_cone(t, p):
+            found.append(check_witness(cm, basis))
+    found.sort(key=lambda w: w.chosen)
     return found
 
 

@@ -68,6 +68,8 @@ def parse_charge_matrix(text, source="input"):
         except ValueError as e:
             # integers past the interpreter's digit limit for str -> int
             raise ParseError(f"{source}: {e}") from None
+        except RecursionError:
+            raise ParseError(f"{source}: JSON nested too deeply") from None
         if isinstance(data, dict):
             if "Q" not in data:
                 raise ParseError(f"{source}: JSON object lacks the key \"Q\"")

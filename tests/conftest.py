@@ -32,6 +32,27 @@ def det_permutation_expansion(m):
     return total
 
 
+def det_rows(rows):
+    """Leibniz determinant of a square matrix given as a list of rows."""
+    return det_permutation_expansion(IntMatrix(rows, ncols=len(rows)))
+
+
+def cramer_positive_row(block_rows, det, col):
+    """First ``a`` with ``(R^-1 col)_a > 0`` by Cramer's rule, else ``None``.
+
+    ``det`` is ``det R``.  The sign of ``(R^-1 col)_a`` is that of
+    ``det(R with column a replaced by col) * det R``, so ``None`` means
+    ``col`` lies in the closed negative cone of the columns of ``R``.  Each
+    determinant is a Leibniz expansion, independent of the package's
+    elimination code.
+    """
+    for a in range(len(block_rows)):
+        patched = [row[:a] + [col[i]] + row[a + 1:] for i, row in enumerate(block_rows)]
+        if det_rows(patched) * det > 0:
+            return a
+    return None
+
+
 def random_nonsingular(rng, n, bound):
     while True:
         m = rand_matrix(rng, n, n, bound)

@@ -140,6 +140,23 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_deeply_nested_json_exit_two(self, capsys):
+        # the JSON decoder raises RecursionError, not a ValueError
+        code = main(["phases", "[" * 100_000])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: inline matrix:")
+
+    def test_deeply_nested_monomials_exit_two(self, capsys, twolg_file, tmp_path):
+        mono = tmp_path / "mono.json"
+        mono.write_text("[" * 100_000)
+        code = main(["check", twolg_file, "--monomials", str(mono)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "nested too deeply" in captured.err
+
     def test_unknown_subcommand_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
 

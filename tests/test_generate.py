@@ -3,6 +3,7 @@
 import pytest
 
 import lgphase.generate
+from conftest import cramer_positive_row, det_rows
 from lgphase import (
     ATTEMPT_BUDGET,
     GeneratorConfig,
@@ -15,6 +16,32 @@ from lgphase import (
     random_lg_model,
     witness_of_construction,
 )
+
+
+def cramer_sampler(cfg):
+    """Oracle for :func:`random_lg_model`: the same draws, accepted by Cramer signs."""
+    rng = SplitMix64(cfg.seed)
+    r, n = cfg.r, cfg.n
+    for _ in range(ATTEMPT_BUDGET):
+        block = [[rng.int_between(-cfg.entry_bound, cfg.entry_bound) for _ in range(r)]
+                 for _ in range(r)]
+        det = det_rows(block)
+        if det:
+            break
+    cols = []
+    for _ in range(n):
+        for _ in range(ATTEMPT_BUDGET):
+            c = [rng.int_between(-cfg.sample_bound, cfg.sample_bound) for _ in range(r)]
+            if not cfg.allow_zero_columns and not any(c):
+                continue
+            if cramer_positive_row(block, det, c) is None:
+                cols.append(c)
+                break
+    rows = [block[a] + [c[a] for c in cols] for a in range(r)]
+    for _ in range(cfg.pad_dependent_rows):
+        coeffs = [rng.int_between(-3, 3) for _ in rows]
+        rows.append([sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(r + n)])
+    return IntMatrix(rows, ncols=r + n)
 
 
 class TestSplitMix64:
@@ -132,6 +159,20 @@ class TestRandomModel:
             a = m[0, 0]
             for j in range(1, 4):
                 assert a * m[0, j] <= 0
+
+
+    def test_matches_cramer_sampler(self):
+        for seed in range(150):
+            cfg = GeneratorConfig(
+                r=1 + seed % 4,
+                n=seed % 5,
+                seed=seed,
+                entry_bound=1 + seed % 3,
+                sample_bound=2 + seed % 4,
+                allow_zero_columns=seed % 3 == 0,
+                pad_dependent_rows=seed % 2,
+            )
+            assert random_lg_model(cfg) == cramer_sampler(cfg), cfg
 
 
 class TestPadding:

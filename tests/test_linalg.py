@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     cokernel_order_bruteforce,
     det_permutation_expansion,
+    fraction_inverse,
     rand_matrix,
     random_nonsingular,
     random_unimodular,
@@ -28,6 +29,7 @@ from lgphase import (
     solve_exact,
     xgcd,
 )
+from lgphase import linalg
 
 
 class TestXgcd:
@@ -157,6 +159,47 @@ class TestInverse:
             ident = RatMatrix.identity(n)
             assert m * inv == ident
             assert inv * m == ident
+
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            n = rng.randint(0, 6)
+            ints = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                ints[-1] = [2 * a - b for a, b in zip(ints[0], ints[1])]
+            rats = [[Fraction(e, rng.randint(1, 9)) for e in row] for row in ints]
+            if n > 1 and rng.random() < 0.25:
+                rats[-1] = [e * Fraction(-3, 7) for e in rats[0]]
+            for rows, m in ((ints, IntMatrix(ints, ncols=n)), (rats, RatMatrix(rats, ncols=n))):
+                expected = fraction_inverse(rows)
+                if expected is None:
+                    with pytest.raises(SingularMatrix):
+                        invert_rational(m)
+                else:
+                    assert invert_rational(m) == RatMatrix(expected, ncols=n)
+
+
+class TestFractionFreeSolve:
+    def test_scaled_inverse_times_rows(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            r = rng.randint(0, 4)
+            width = rng.randint(r, r + 4)
+            rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(r)]
+            cols = rng.sample(range(width), r)
+            block = [[row[c] for c in cols] for row in rows]
+            det = det_permutation_expansion(IntMatrix(block, ncols=r))
+            p, t = linalg._fraction_free_solve(rows, cols)
+            if det == 0:
+                assert (p, t) == (0, None)
+                continue
+            assert abs(p) == abs(det)
+            inv = fraction_inverse(block)
+            assert t == [
+                [p * sum(inv[a][k] * rows[k][j] for k in range(r)) for j in range(width)]
+                for a in range(r)
+            ]
 
 
 class TestSolveExact:
