@@ -22,7 +22,6 @@ from .cones import (
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
-    InternalCheckFailed,
     LevelNotInImage,
     LgPhaseError,
     NotInterior,
@@ -53,11 +52,9 @@ from .linalg import (
 from .orbifold import (
     OrbifoldData,
     actions_equivalent,
-    canonical_action,
     canonical_torus_action,
     effective_factors,
     orbifold_group,
-    torus_subgroup_lattice,
 )
 from .phases import (
     ChargeMatrix,
@@ -67,7 +64,6 @@ from .phases import (
     check_witness,
     enumerate_phases,
     make_charge_matrix,
-    vev_split,
 )
 from .report import (
     WARN_RANK_DEFICIENT,
@@ -104,15 +100,12 @@ __all__ = [
     "check_witness",
     "enumerate_phases",
     "check_superpotential_invariance",
-    "vev_split",
     # orbifold
     "OrbifoldData",
     "orbifold_group",
     "effective_factors",
-    "canonical_action",
     "actions_equivalent",
     "canonical_torus_action",
-    "torus_subgroup_lattice",
     # cones
     "INTERIOR",
     "BOUNDARY",
@@ -151,5 +144,4 @@ __all__ = [
     "NotInterior",
     "RejectionBudgetExceeded",
     "ParseError",
-    "InternalCheckFailed",
 ]

@@ -64,19 +64,20 @@ def cmd_orbifold(args):
     chosen = report.parse_index_list(args.chosen)
     w = phases.check_witness(cm, chosen)
     od = orbifold.orbifold_group(w)
-    payload = {
-        "chosen": [str(j) for j in w.chosen],
-        "smith": {
-            "u": report.report_matrix(od.smith.u),
-            "d": report.report_matrix(od.smith.d),
-            "v": report.report_matrix(od.smith.v),
-        },
-        "invariant_factors": [str(d) for d in od.invariant_factors],
-        "effective_factors": [str(d) for d in orbifold.effective_factors(od)],
-        "group_order": str(od.group_order),
-        "action_exponents": report.report_matrix(od.action_exponents),
-        "canonical_lattice": report.report_matrix(od.canonical_lattice),
-    }
+    with report.lossless_digits():
+        payload = {
+            "chosen": [str(j) for j in w.chosen],
+            "smith": {
+                "u": report.report_matrix(od.smith.u),
+                "d": report.report_matrix(od.smith.d),
+                "v": report.report_matrix(od.smith.v),
+            },
+            "invariant_factors": [str(d) for d in od.invariant_factors],
+            "effective_factors": [str(d) for d in orbifold.effective_factors(od)],
+            "group_order": str(od.group_order),
+            "action_exponents": report.report_matrix(od.action_exponents),
+            "canonical_lattice": report.report_matrix(od.canonical_lattice),
+        }
     eff = payload["effective_factors"]
     table = "\n".join(
         [
@@ -100,18 +101,16 @@ def cmd_polytope(args):
     level = report.parse_level(args.level)
     w = phases.check_witness(cm, chosen)
     membership = cones.is_in_phase_cone(w, level)
-    simplicial = None
+    simplicial = spaces = lift = None
     if membership == cones.INTERIOR:
         simplicial = cones.verify_simplicial_cone(w, level)
         poly = cones.moment_polyhedron(cm, level, w)
-        spaces = [
-            {"normal": [str(e) for e in hs.normal], "offset": str(hs.offset)}
-            for hs in poly.half_spaces
-        ]
-        lift = [str(e) for e in poly.lift]
-    else:
-        spaces = None
-        lift = None
+        with report.lossless_digits():
+            spaces = [
+                {"normal": [str(e) for e in hs.normal], "offset": str(hs.offset)}
+                for hs in poly.half_spaces
+            ]
+            lift = [str(e) for e in poly.lift]
     payload = {
         "chosen": [str(j) for j in w.chosen],
         "level": [str(x) for x in level],
@@ -138,7 +137,6 @@ def cmd_polytope(args):
 
 
 def cmd_generate(args):
-    code = 0
     for k in range(args.count):
         cfg = generate.GeneratorConfig(
             r=args.r,
@@ -151,14 +149,15 @@ def cmd_generate(args):
         )
         q = generate.random_lg_model(cfg)
         w = generate.witness_of_construction(q, cfg)
-        payload = {
-            "config": {key: str(value) for key, value in asdict(cfg).items()},
-            "Q": report.report_matrix(q),
-            "witness": [str(j) for j in w.chosen],
-        }
+        with report.lossless_digits():
+            payload = {
+                "config": {key: str(value) for key, value in asdict(cfg).items()},
+                "Q": report.report_matrix(q),
+                "witness": [str(j) for j in w.chosen],
+            }
         if not args.quiet:
             print(json.dumps(payload))
-    return code
+    return 0
 
 
 def cmd_check(args):
@@ -193,7 +192,6 @@ def _build_parser():
     common.add_argument("--json", action="store_true", help="JSON output (the default)")
     common.add_argument("--table", action="store_true", help="human-readable output")
     common.add_argument("--quiet", action="store_true", help="suppress output, use the exit code")
-    common.add_argument("--seed", type=int, default=0, help="generator seed (generate only)")
 
     parser = argparse.ArgumentParser(
         prog="lgphase",
@@ -223,6 +221,7 @@ def _build_parser():
     p.add_argument("--entry-bound", type=int, default=5)
     p.add_argument("--sample-bound", type=int, default=5)
     p.add_argument("--pad", type=int, default=0, help="dependent padding rows")
+    p.add_argument("--seed", type=int, default=0, help="generator seed of the first model")
     p.add_argument("--count", type=int, default=1, help="models to emit (seeds seed, seed+1, ...)")
     p.add_argument("--allow-zero-columns", action="store_true")
     p.set_defaults(func=cmd_generate)

@@ -4,10 +4,13 @@ For moment levels ``s`` in the image of the charge matrix the symplectic
 quotient is cut out by ``P_s = { m : A(m) + s_lift >= 0 }``, where the
 columns of ``A`` span the saturated integer kernel of ``Q`` and ``s_lift``
 is any exact lift of ``s`` (``Q * s_lift = s``).  A witness's phase cone is
-the simplicial cone spanned by its chosen columns; for levels interior to
-that cone the polyhedron is a translated simplicial cone, which
-:func:`verify_simplicial_cone` checks through the kernel route alone,
-independently of the sign test that produced the witness.
+the simplicial cone spanned by its chosen columns, so the cone coordinates
+of ``s`` are the unique ``x`` with ``Q[:, chosen] * x = s``: one exact solve
+against the original charges gives both the membership test and the lift.
+For levels interior to that cone the polyhedron is a translated simplicial
+cone, which :func:`verify_simplicial_cone` checks through the kernel route
+alone (``ChargeMatrix.kernel``, computed once per model), independently of
+the sign test that produced the witness.
 """
 
 from __future__ import annotations
@@ -88,43 +91,37 @@ def _as_level(cm, s):
     return vec
 
 
-def _level_in_row_basis(cm, s):
-    """Coordinates of ``s`` in the reduced row basis, or ``None``."""
-    return linalg.solve_exact(cm.basis_map, s)
+def _cone_coordinates(cm, support, s):
+    """The ``x`` with ``Q[:, support] * x == s``, or ``None`` outside the image.
+
+    The support columns are independent and span the image of ``Q``, so
+    ``x`` is unique when it exists.
+    """
+    return linalg.solve_exact(cm.matrix.select_columns(support), s)
 
 
 def lift_level(cm, s, witness=None):
     """An exact vector ``s_lift`` with ``Q * s_lift == s``.
 
-    With a witness, the lift is supported on the chosen columns (the
-    inverse of the square block applied to ``s``); otherwise it rests on
-    the lexicographically-first pivot columns of the reduced matrix.
-    Raises :class:`LevelNotInImage` when ``s`` is outside the image.
+    With a witness, the lift is supported on the chosen columns (the cone
+    coordinates of ``s``); otherwise it rests on the lexicographically-first
+    pivot columns of the reduced matrix.  Raises :class:`LevelNotInImage`
+    when ``s`` is outside the image.
     """
     s = _as_level(cm, s)
-    sred = _level_in_row_basis(cm, s)
-    if sred is None:
+    support = cm.pivot_columns if witness is None else witness.chosen
+    coeffs = _cone_coordinates(cm, support, s)
+    if coeffs is None:
         raise LevelNotInImage(f"level {s!r} is not in the image of the charge matrix")
-    if witness is not None:
-        support = witness.chosen
-        block = witness.vev_block
-    else:
-        support = cm.pivot_columns
-        block = cm.reduced.select_columns(support)
-    coeffs = _mat_vec(linalg.invert_rational(block), sred)
     lift = [Fraction(0)] * cm.num_fields
     for j, c in zip(support, coeffs):
         lift[j] = c
     return tuple(lift)
 
 
-def _mat_vec(m, vec):
-    return tuple(sum(a * b for a, b in zip(row, vec)) for row in m.rows)
-
-
 def moment_polyhedron(cm, s, witness=None):
     """The polyhedron ``P_s`` as exact half-space data."""
-    a = linalg.integer_kernel(cm.matrix)
+    a = cm.kernel
     lift = lift_level(cm, s, witness)
     spaces = tuple(
         HalfSpace(normal=tuple(Fraction(e) for e in a.row(i)), offset=lift[i])
@@ -142,10 +139,9 @@ def is_in_phase_cone(w, s):
     """
     cm = w.charge
     s = _as_level(cm, s)
-    sred = _level_in_row_basis(cm, s)
-    if sred is None:
+    sigma = _cone_coordinates(cm, w.chosen, s)
+    if sigma is None:
         return OUTSIDE
-    sigma = _mat_vec(linalg.invert_rational(w.vev_block), sred)
     if any(c < 0 for c in sigma):
         return OUTSIDE
     if any(c == 0 for c in sigma):
@@ -170,7 +166,7 @@ def verify_simplicial_cone(w, s):
     n = len(coords)
     if n == 0:
         return True
-    a = linalg.integer_kernel(cm.matrix)
+    a = cm.kernel
     c_block = IntMatrix(tuple(a.row(j) for j in coords), ncols=n)
     if linalg.determinant(c_block) == 0:
         return False

@@ -13,7 +13,6 @@ __all__ = [
     "NotInterior",
     "RejectionBudgetExceeded",
     "ParseError",
-    "InternalCheckFailed",
 ]
 
 
@@ -80,10 +79,3 @@ class RejectionBudgetExceeded(LgPhaseError):
 class ParseError(LgPhaseError):
     """Input text could not be parsed as a charge matrix or level."""
 
-
-class InternalCheckFailed(LgPhaseError):
-    """An exact identity the computation relies on did not hold.
-
-    This signals a defect in the package, not bad input: the result that
-    failed the check is withheld rather than returned wrong.
-    """

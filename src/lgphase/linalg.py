@@ -220,76 +220,7 @@ class RatMatrix(_Matrix):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination (Bareiss): rank and determinant
-
-
-def _echelon_fraction_free(rows, nrows, ncols):
-    """In-place fraction-free echelon reduction.
-
-    Returns ``(rank, pivot_columns, swap_sign, last_pivot)``.  Entries stay
-    integers throughout; each update divides exactly by the previous pivot.
-    """
-    prev = 1
-    sign = 1
-    t = 0
-    pivots = []
-    last = 1
-    for col in range(ncols):
-        piv = next((i for i in range(t, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        if piv != t:
-            rows[t], rows[piv] = rows[piv], rows[t]
-            sign = -sign
-        p = rows[t][col]
-        for i in range(t + 1, nrows):
-            ric = rows[i][col]
-            ri = rows[i]
-            rt = rows[t]
-            for j in range(col + 1, ncols):
-                ri[j] = (p * ri[j] - ric * rt[j]) // prev
-            ri[col] = 0
-        prev = p
-        last = p
-        pivots.append(col)
-        t += 1
-        if t == nrows:
-            break
-    return t, pivots, sign, last
-
-
-def rank(m):
-    """Rank of an integer matrix, by exact fraction-free elimination."""
-    rows = [list(r) for r in m.rows]
-    r, _, _, _ = _echelon_fraction_free(rows, m.nrows, m.ncols)
-    return r
-
-
-def _det_rows(rows):
-    """Determinant of a small square matrix given as mutable row lists."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    work = [list(r) for r in rows]
-    r, _, sign, last = _echelon_fraction_free(work, n, n)
-    if r < n:
-        return 0
-    return sign * last
-
-
-def determinant(m):
-    """Determinant of a square integer matrix (Bareiss elimination).
-
-    >>> determinant(IntMatrix([[1, -4], [-2, 0]]))
-    -8
-    """
-    if m.nrows != m.ncols:
-        raise NotSquare(f"determinant needs a square matrix, got {m.shape}")
-    return _det_rows([list(r) for r in m.rows])
-
-
-# ---------------------------------------------------------------------------
-# fraction-free Gauss-Jordan
+# one fraction-free tableau: rank, determinant, inverse and solve
 
 
 def _exchange(t, a, c, p):
@@ -357,6 +288,59 @@ def _fraction_free_solve(rows, cols):
     return p, [t[row_of[c]] for c in cols]
 
 
+def _integer_row(row):
+    """``(s, s * row)`` with ``s`` the lcm of the denominators, as integers."""
+    s = lcm(*(e.denominator for e in row))
+    return s, [e.numerator * (s // e.denominator) for e in row]
+
+
+def _eliminate(rows, ncols):
+    """Pivot every column among the first ``ncols`` of ``rows`` that can be pivoted.
+
+    Each row is first scaled to integers by :func:`_integer_row`.  Column
+    ``c`` is pivoted into the first row that holds no column yet and has a
+    nonzero entry in it; a column with no such row depends on the columns
+    before it and is skipped.  Returns ``(t, p, basis)`` as for
+    :func:`_pivot_in`: ``t == p * B^-1 * rows`` (scaled), ``basis[a]`` the
+    column held by row ``a`` or ``None``, and ``p == det B``.  Rows that
+    hold no column are zero in the first ``ncols`` columns.
+    """
+    t = [_integer_row(row)[1] for row in rows]
+    basis = [None] * len(t)
+    p = 1
+    for c in range(ncols):
+        free = [a for a, held in enumerate(basis) if held is None]
+        p, _ = _pivot_in(t, p, basis, (c,), free)
+    return t, p, basis
+
+
+def rank(m):
+    """Rank of an integer or rational matrix, by exact fraction-free elimination."""
+    _, _, basis = _eliminate(m.rows, m.ncols)
+    return len(basis) - basis.count(None)
+
+
+def determinant(m):
+    """Determinant of a square integer matrix, by exact fraction-free elimination.
+
+    The tableau ends on ``B``, the columns of ``m`` in the order ``basis``,
+    with ``p == det B``; the parity of that order gives the sign.  A
+    ``RatMatrix`` with a fractional entry raises ``ValueError``.
+
+    >>> determinant(IntMatrix([[1, -4], [-2, 0]]))
+    -8
+    """
+    if m.nrows != m.ncols:
+        raise NotSquare(f"determinant needs a square matrix, got {m.shape}")
+    if isinstance(m, RatMatrix):
+        m = m.to_integer()
+    _, p, basis = _eliminate(m.rows, m.ncols)
+    if None in basis:
+        return 0
+    inversions = sum(a > b for i, a in enumerate(basis) for b in basis[i + 1:])
+    return -p if inversions % 2 else p
+
+
 def invert_rational(m):
     """Exact inverse of a square integer or rational matrix, as ``RatMatrix``.
 
@@ -368,16 +352,14 @@ def invert_rational(m):
     if m.nrows != m.ncols:
         raise NotSquare(f"inverse needs a square matrix, got {m.shape}")
     n = m.nrows
-    scales = [lcm(*(e.denominator for e in row)) for row in m.rows]
-    aug = [
-        [e.numerator * (s // e.denominator) for e in row] + [int(k == i) for k in range(n)]
-        for i, (row, s) in enumerate(zip(m.rows, scales))
-    ]
+    scaled = [_integer_row(row) for row in m.rows]
+    aug = [row + [int(k == i) for k in range(n)] for i, (_, row) in enumerate(scaled)]
     p, t = _fraction_free_solve(aug, range(n))
     if p == 0:
         raise SingularMatrix("matrix is singular")
     return RatMatrix(
-        tuple(tuple(Fraction(x * s, p) for x, s in zip(row[n:], scales)) for row in t), ncols=n
+        tuple(tuple(Fraction(x * s, p) for x, (s, _) in zip(row[n:], scaled)) for row in t),
+        ncols=n,
     )
 
 
@@ -386,34 +368,20 @@ def solve_exact(a, b):
 
     ``a`` is an integer or rational matrix, ``b`` a sequence of the same
     height.  Free variables, if any, are set to zero, so the returned
-    solution is the lexicographically-first pivot solution.
+    solution is the lexicographically-first pivot solution; when the
+    columns of ``a`` are independent it is the only one.
     """
     nr, nc = a.shape
     bvec = [_check_fraction(x) for x in b]
     if len(bvec) != nr:
         raise ValueError(f"right-hand side has length {len(bvec)}, expected {nr}")
-    aug = [[Fraction(e) for e in a.row(i)] + [bvec[i]] for i in range(nr)]
-    pivots = []
-    t = 0
-    for col in range(nc):
-        piv = next((i for i in range(t, nr) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[t], aug[piv] = aug[piv], aug[t]
-        p = aug[t][col]
-        aug[t] = [e / p for e in aug[t]]
-        for i in range(nr):
-            if i != t and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[t])]
-        pivots.append(col)
-        t += 1
-    for i in range(t, nr):
-        if aug[i][nc]:
-            return None
+    t, p, basis = _eliminate([row + (x,) for row, x in zip(a.rows, bvec)], nc)
     x = [Fraction(0)] * nc
-    for k, col in enumerate(pivots):
-        x[col] = aug[k][nc]
+    for row, col in zip(t, basis):
+        if col is not None:
+            x[col] = Fraction(row[nc], p)
+        elif row[nc]:
+            return None
     return tuple(x)
 
 

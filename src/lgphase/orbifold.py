@@ -6,18 +6,12 @@ finite abelian group ``Gamma = coker(R^T)``.  A Smith decomposition
 the ``a``-th factor multiplies Landau-Ginzburg coordinate ``j`` by the
 root of unity ``zeta_{d_a}`` raised to the exponent ``(U S)_{a j}``.
 
-Two canonical encodings of the action are provided.
-
-``torus_subgroup_lattice`` encodes the literal image of ``Gamma`` in the
-diagonal torus, as the pair (exponent, Hermite basis) of the lattice
-``L = Z^n + sum_a Z * row_a / d_a``.  Two actions have equal images exactly
-when these pairs are equal.
-
-``canonical_torus_action`` (returned by ``canonical_action``) canonicalizes
-the quotient presentation up to monomial isomorphism: coordinatewise ray
-rescaling (replace a coordinate by the power that makes its axis primitive
-in ``L``) followed by the lexicographically minimal Hermite form over
-coordinate permutations.  Two phases of one model always agree under this
+The image of ``Gamma`` in the diagonal torus is the lattice
+``L = Z^n + sum_a Z * row_a / d_a``.  ``canonical_torus_action`` (stored as
+``OrbifoldData.canonical_lattice``) canonicalizes the quotient presentation
+up to monomial isomorphism: coordinatewise ray rescaling (replace a
+coordinate by the power that makes its axis primitive in ``L``) followed by
+the lexicographically minimal Hermite form over coordinate permutations.  Two phases of one model always agree under this
 form; the image subgroups alone may differ, for instance a Z8 acting with
 weights (1,2,2,2) presents the same quotient as a Z4 with weights (1,1,1,1)
 after squaring the first coordinate.
@@ -45,10 +39,8 @@ __all__ = [
     "OrbifoldData",
     "orbifold_group",
     "effective_factors",
-    "canonical_action",
     "actions_equivalent",
     "canonical_torus_action",
-    "torus_subgroup_lattice",
 ]
 
 
@@ -108,11 +100,6 @@ def effective_factors(od):
     return tuple(d for d in od.invariant_factors if d != 1)
 
 
-def canonical_action(od):
-    """Canonical lattice of the action, invariant under monomial isomorphism."""
-    return od.canonical_lattice
-
-
 def actions_equivalent(a, b):
     """Whether two orbifold actions present the same quotient of ``C^n``.
 
@@ -152,36 +139,6 @@ def _stacked_lattice(rows, orders, n, scale_num, col_scale):
     for i in range(n):
         gens.append(tuple(scale_num * col_scale[i] if j == i else 0 for j in range(n)))
     return linalg.hermite_normal_form(IntMatrix(gens, ncols=n))
-
-
-def torus_subgroup_lattice(rows, orders, num_coords):
-    """Canonical pair encoding ``L = Z^n + sum_a Z * row_a / d_a`` exactly.
-
-    Returns ``(m, H)`` where ``m`` is the exponent of ``L / Z^n`` and ``H``
-    the Hermite basis of ``m * L``.  Two families generate the same torus
-    subgroup exactly when their pairs are equal; no rescaling or coordinate
-    permutation is applied.
-    """
-    rows = [tuple(int(e) for e in row) for row in rows]
-    orders = [int(d) for d in orders]
-    n = num_coords
-    if any(d <= 0 for d in orders) or len(rows) != len(orders):
-        raise ValueError("need one positive order per exponent row")
-    if any(len(row) != n for row in rows):
-        raise ValueError(f"exponent rows must have length {n}")
-    if n == 0:
-        return 1, IntMatrix((), ncols=0)
-    m0 = lcm(*orders) if orders else 1
-    h0 = _stacked_lattice(rows, orders, n, m0, [1] * n)
-    # exponent of L / Z^n: smallest m with m * L integral
-    g = m0
-    for row in h0.rows:
-        g = gcd(g, *row) if row else g
-    m = m0 // g
-    if m == m0:
-        return m0, h0
-    h = IntMatrix(tuple(tuple(e // g for e in row) for row in h0.rows), ncols=n)
-    return m, h
 
 
 def _swap_fixes(hnf, i, j):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .errors import DimensionMismatch, EmptyMatrix, InternalCheckFailed, NotNegativeCone, SingularChoice
+from .errors import DimensionMismatch, EmptyMatrix, NotNegativeCone, SingularChoice
 from .linalg import IntMatrix, RatMatrix
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "check_witness",
     "enumerate_phases",
     "check_superpotential_invariance",
-    "vev_split",
 ]
 
 
@@ -66,14 +65,9 @@ class ChargeMatrix:
         return tuple(pivots)
 
     @cached_property
-    def basis_map(self):
-        """Rational ``rho x r`` matrix ``B`` with ``B * reduced == matrix``."""
-        piv = self.pivot_columns
-        p_inv = linalg.invert_rational(self.reduced.select_columns(piv))
-        b = self.matrix.select_columns(piv).to_rational() * p_inv
-        if b * self.reduced.to_rational() != self.matrix.to_rational():
-            raise InternalCheckFailed("basis map does not carry the reduced rows onto the input")
-        return b
+    def kernel(self):
+        """Saturated integer kernel of ``matrix`` (see :func:`lgphase.linalg.integer_kernel`)."""
+        return linalg.integer_kernel(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -270,7 +264,3 @@ def check_superpotential_invariance(cm, monomials):
                 return False
     return True
 
-
-def vev_split(w):
-    """Partition of the field indices into (vacuum fields, coordinate fields)."""
-    return (w.chosen, w.coord_columns)

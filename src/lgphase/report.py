@@ -3,13 +3,20 @@
 Every numeric leaf is serialized as a decimal string (``"p/q"`` for
 rationals), so arbitrarily large values survive a JSON round trip in any
 consumer.  Parsing accepts the same forms back.
+
+Output is lossless: the interpreter's digit limit for ``int`` <-> ``str``
+conversion is lifted while output strings are built (see
+:func:`lossless_digits`) and restored afterwards, so parsing still refuses
+oversized input.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 from . import cones, orbifold, phases
@@ -23,9 +30,27 @@ __all__ = [
     "build_phase_report",
     "report_matrix",
     "render_phase_table",
+    "lossless_digits",
 ]
 
 WARN_RANK_DEFICIENT = "rank_deficient_gauge_group"
+
+
+@contextlib.contextmanager
+def lossless_digits():
+    """Lift the interpreter's ``int`` <-> ``str`` digit limit, restoring it on exit.
+
+    The limit is interpreter-wide, so another thread parsing meanwhile
+    would see it lifted too.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _int_from_cell(cell, where):
@@ -124,6 +149,7 @@ def _orbifold_section(od):
     }
 
 
+@lossless_digits()
 def build_phase_report(cm, prune=True):
     """Full phase analysis of a charge matrix as a JSON-ready dict."""
     witnesses = phases.enumerate_phases(cm, prune=prune)

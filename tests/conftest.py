@@ -2,14 +2,18 @@
 
 The brute-force oracles here deliberately avoid the package's own Smith and
 Hermite code paths: the cokernel oracle runs on a local fraction inverse
-and set closure, the determinant oracle on permutation expansion, so
-agreement is a genuine cross-check rather than a tautology.
+and set closure, the determinant oracle on permutation expansion, the
+linear-system oracle on a local ``Fraction`` Gauss-Jordan, so agreement is
+a genuine cross-check rather than a tautology.  ``torus_subgroup_lattice``
+is no oracle but an encoding of torus subgroups, built on the package's
+Hermite form, that the orbifold tests compare actions with.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
-from lgphase import IntMatrix
+from lgphase import IntMatrix, hermite_normal_form
 
 
 def rand_matrix(rng, nrows, ncols, bound):
@@ -99,6 +103,62 @@ def fraction_inverse(rows):
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def fraction_solve(rows, rhs, nc):
+    """``(rank, x)`` for ``rows * x = rhs`` by a local Gauss-Jordan over Fractions.
+
+    ``rows`` has ``nc`` columns.  ``x`` is the lexicographically-first
+    pivot solution (free variables zero), or ``None`` when the system is
+    inconsistent.
+    """
+    aug = [[Fraction(e) for e in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    nr = len(aug)
+    pivots = []
+    t = 0
+    for col in range(nc):
+        piv = next((i for i in range(t, nr) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[t], aug[piv] = aug[piv], aug[t]
+        p = aug[t][col]
+        aug[t] = [e / p for e in aug[t]]
+        for i in range(nr):
+            if i != t and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[t])]
+        pivots.append(col)
+        t += 1
+    if any(aug[i][nc] for i in range(t, nr)):
+        return t, None
+    x = [Fraction(0)] * nc
+    for k, col in enumerate(pivots):
+        x[col] = aug[k][nc]
+    return t, tuple(x)
+
+
+def torus_subgroup_lattice(rows, orders, num_coords):
+    """Canonical pair encoding ``L = Z^n + sum_a Z * row_a / d_a`` exactly.
+
+    Returns ``(m, H)`` where ``m`` is the exponent of ``L / Z^n`` and ``H``
+    the Hermite basis of ``m * L``.  Two families generate the same torus
+    subgroup exactly when their pairs are equal; no rescaling or coordinate
+    permutation is applied, unlike the package's canonical action.
+    """
+    rows = [tuple(int(e) for e in row) for row in rows]
+    orders = [int(d) for d in orders]
+    n = num_coords
+    if n == 0:
+        return 1, IntMatrix((), ncols=0)
+    m0 = lcm(*orders) if orders else 1
+    gens = [tuple((m0 // d) * e for e in row) for row, d in zip(rows, orders)]
+    gens += [tuple(m0 if j == i else 0 for j in range(n)) for i in range(n)]
+    h0 = hermite_normal_form(IntMatrix(gens, ncols=n))
+    # exponent of L / Z^n: smallest m with m * L integral
+    g = gcd(m0, *(e for row in h0.rows for e in row))
+    if g == 1:
+        return m0, h0
+    return m0 // g, IntMatrix(tuple(tuple(e // g for e in row) for row in h0.rows), ncols=n)
 
 
 def cokernel_order_bruteforce(m):

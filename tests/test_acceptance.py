@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import cokernel_order_bruteforce, rand_matrix, random_nonsingular
+from conftest import cokernel_order_bruteforce, rand_matrix, random_nonsingular, torus_subgroup_lattice
 from lgphase import (
     GeneratorConfig,
     IntMatrix,
@@ -30,7 +30,6 @@ from lgphase import (
     random_lg_model,
     rank,
     smith_normal_form,
-    torus_subgroup_lattice,
     verify_simplicial_cone,
     witness_of_construction,
 )

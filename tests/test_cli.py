@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, JSON payloads, and input formats."""
 
 import json
+import sys
 
 import pytest
 
-from lgphase import IntMatrix, build_phase_report, enumerate_phases, make_charge_matrix
+from lgphase import IntMatrix, build_phase_report, enumerate_phases, linalg, make_charge_matrix
 from lgphase.cli import main
+from lgphase.report import lossless_digits
 
 TWOLG_TEXT = '{"Q": [[0,1,1,1,1,-4],[1,0,0,0,-2,0]]}'
 KP1P1_TEXT = '{"Q": [[1,1,0,0,-2],[0,0,1,1,-2]]}'
@@ -157,6 +159,27 @@ class TestErrorPaths:
         assert captured.err.startswith("error: ")
         assert "nested too deeply" in captured.err
 
+    def test_long_output_values_are_lossless(self, capsys):
+        # every input entry is under the interpreter's 4300-digit limit, but
+        # the reduced basis holds 4850-digit entries
+        q = [[10**2500 + 7, 10**2400 + 3, -1, 0], [10**2450 + 1, 3, 0, -1]]
+        text = json.dumps([[str(e) for e in row] for row in q])
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, ["phases", text, "--quiet"]) == (0, "")
+        code, out = run(capsys, ["phases", text])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        rep = json.loads(out)
+        assert max(len(e) for row in rep["reduced"] for e in row) > limit
+        with lossless_digits():
+            assert IntMatrix([[int(e) for e in row] for row in rep["reduced"]]) == \
+                make_charge_matrix(q).reduced
+        assert [[int(e) for e in row] for row in rep["input"]["Q"]] == q
+        # oversized input is still refused after a lossless run
+        code = main(["phases", f"[[1, 1, -{'9' * (limit + 1)}]]"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: inline matrix:")
+
     def test_unknown_subcommand_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -170,11 +193,19 @@ class TestErrorPaths:
         assert code == 1
 
 
+class TestGenerateOnlyOptions:
+    def test_seed_belongs_to_generate(self, capsys, twolg_file):
+        assert main(["phases", twolg_file, "--seed", "7"]) == 2
+        code, out = run(capsys, ["generate", "--r", "1", "--n", "2", "--seed", "7"])
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == "7"
+
+
 class TestRepeatedCalls:
     def test_options_do_not_leak_between_calls(self, capsys, twolg_file):
         # the parser is built once per process; every call must start from
         # the defaults again
-        code, out = run(capsys, ["phases", twolg_file, "--quiet", "--no-prune", "--seed", "7"])
+        code, out = run(capsys, ["phases", twolg_file, "--quiet", "--no-prune"])
         assert (code, out) == (0, "")
         code, out = run(capsys, ["phases", twolg_file])
         assert code == 0
@@ -230,6 +261,19 @@ class TestPolytopeCommand:
                                  "--level=0,1", "--json"])
         assert code == 1
         assert json.loads(out)["membership"] == "outside"
+
+    def test_one_kernel_and_one_inverse_per_call(self, capsys, twolg_file, monkeypatch):
+        # row_space_reduce takes two kernels, the cached ChargeMatrix.kernel
+        # one; the cone coordinates need no inverse, verify_simplicial_cone one
+        calls = {"integer_kernel": 0, "invert_rational": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(linalg, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        code, _ = run(capsys, ["polytope", twolg_file, "--chosen", "4,5", "--level=-3,-2"])
+        assert code == 0
+        assert calls == {"integer_kernel": 3, "invert_rational": 1}
 
     def test_fractional_level_accepted(self, capsys):
         code, out = run(capsys, ["polytope", "[[1,1,-2]]", "--chosen", "2",

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_matrix
+from conftest import fraction_inverse, fraction_solve, rand_matrix
 from lgphase import (
+    GeneratorConfig,
     BOUNDARY,
     DimensionMismatch,
     INTERIOR,
@@ -21,7 +22,9 @@ from lgphase import (
     make_charge_matrix,
     moment_polyhedron,
     phase_cone,
+    random_lg_model,
     verify_simplicial_cone,
+    witness_of_construction,
 )
 
 TWOLG = [[0, 1, 1, 1, 1, -4], [1, 0, 0, 0, -2, 0]]
@@ -69,6 +72,107 @@ class TestLiftLevel:
         cm = make_charge_matrix(TWOLG)
         with pytest.raises(TypeError):
             lift_level(cm, (0.5, 1))
+
+
+def basis_map_coordinates(cm, support, s):
+    """Coordinates of ``s`` on the ``support`` columns by the basis-map route.
+
+    ``B = Q[:, piv] * reduced[:, piv]^-1`` carries the reduced rows onto
+    ``Q``; ``s`` is solved against ``B`` and the result mapped through the
+    inverse of ``reduced[:, support]``.  Local Fraction arithmetic only.
+    Returns ``None`` when ``s`` is outside the image.
+    """
+    piv = cm.pivot_columns
+    p_inv = fraction_inverse([[row[j] for j in piv] for row in cm.reduced.rows])
+    b = [[sum(q[j] * p_inv[k][c] for k, j in enumerate(piv)) for c in range(cm.rank)]
+         for q in cm.matrix.rows]
+    _, sred = fraction_solve(b, s, cm.rank)
+    if sred is None:
+        return None
+    inv = fraction_inverse([[row[j] for j in support] for row in cm.reduced.rows])
+    return tuple(sum(a * x for a, x in zip(row, sred)) for row in inv)
+
+
+def oracle_lift(cm, s, witness=None):
+    support = cm.pivot_columns if witness is None else witness.chosen
+    coords = basis_map_coordinates(cm, support, s)
+    if coords is None:
+        return None
+    lift = [Fraction(0)] * cm.num_fields
+    for j, c in zip(support, coords):
+        lift[j] = c
+    return tuple(lift)
+
+
+def oracle_membership(w, s):
+    coords = basis_map_coordinates(w.charge, w.chosen, s)
+    if coords is None or any(c < 0 for c in coords):
+        return OUTSIDE
+    return BOUNDARY if any(c == 0 for c in coords) else INTERIOR
+
+
+def sample_levels(rng, w):
+    """Levels around the cone of ``w``: interior, boundary, outside, off the image."""
+    q = w.charge.matrix
+    levels = [tuple(rng.randint(-4, 4) for _ in range(q.nrows)) for _ in range(3)]
+    for sign in (1, 1, 1, -1):
+        coeffs = [Fraction(sign * rng.randint(0, 4), rng.randint(1, 3)) for _ in w.chosen]
+        levels.append(tuple(
+            sum(c * q[i, j] for c, j in zip(coeffs, w.chosen)) for i in range(q.nrows)
+        ))
+    return levels
+
+
+def oracle_cases(rng, count):
+    """Witnesses of random and generated models, a third of them rank-deficient."""
+    cases = []
+    while len(cases) < count:
+        if rng.random() < 0.5:
+            rows, cols = rng.randint(1, 3), rng.randint(2, 6)
+            m = rand_matrix(rng, rows, cols, 3)
+            if rng.random() < 0.4:
+                k = rng.randint(-2, 2)
+                m = IntMatrix(list(m.rows) + [tuple(k * e for e in m.row(0))])
+            if not any(any(r) for r in m.rows):
+                continue
+            cases.extend(enumerate_phases(make_charge_matrix(m)))
+        else:
+            cfg = GeneratorConfig(r=rng.randint(1, 3), n=rng.randint(0, 3),
+                                  seed=rng.randrange(10**6), pad_dependent_rows=rng.randint(0, 1))
+            q = random_lg_model(cfg)
+            cases.append(witness_of_construction(q, cfg))
+    return cases
+
+
+class TestBasisMapOracle:
+    """Cone coordinates solved against ``Q`` equal the old basis-map route."""
+
+    def test_lift_level_matches(self):
+        rng = random.Random(171)
+        deficient = outside = 0
+        for w in oracle_cases(rng, 120):
+            cm = w.charge
+            deficient += cm.rank < cm.rho
+            for s in sample_levels(rng, w):
+                for witness in (w, None):
+                    expected = oracle_lift(cm, s, witness)
+                    if expected is None:
+                        outside += 1
+                        with pytest.raises(LevelNotInImage):
+                            lift_level(cm, s, witness)
+                    else:
+                        assert lift_level(cm, s, witness) == expected
+        assert deficient > 20 and outside > 20
+
+    def test_membership_matches(self):
+        rng = random.Random(172)
+        seen = dict.fromkeys((INTERIOR, BOUNDARY, OUTSIDE), 0)
+        for w in oracle_cases(rng, 120):
+            for s in sample_levels(rng, w):
+                expected = oracle_membership(w, s)
+                assert is_in_phase_cone(w, s) == expected
+                seen[expected] += 1
+        assert min(seen.values()) > 20
 
 
 class TestMomentPolyhedron:

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    _det_fraction,
     cokernel_order_bruteforce,
     det_permutation_expansion,
     fraction_inverse,
+    fraction_solve,
     rand_matrix,
     random_nonsingular,
     random_unimodular,
@@ -125,12 +127,32 @@ class TestRankDeterminant:
         with pytest.raises(NotSquare):
             determinant(IntMatrix([[1, 2, 3]]))
 
+    def test_det_refuses_fractional_entries(self):
+        assert determinant(RatMatrix([[2, 1], [0, 3]])) == 6
+        with pytest.raises(ValueError):
+            determinant(RatMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]))
+
     def test_det_matches_permutation_expansion(self):
         rng = random.Random(21)
         for _ in range(60):
             n = rng.randint(1, 4)
             m = rand_matrix(rng, n, n, 8)
             assert determinant(m) == det_permutation_expansion(m)
+
+    def test_det_matches_fraction_elimination(self):
+        # larger blocks, with shuffled rows and dependent columns, so the
+        # sign from the pivot order and the zero of a singular block show
+        rng = random.Random(23)
+        for _ in range(80):
+            n = rng.randint(0, 7)
+            rows = [list(r) for r in rand_matrix(rng, n, n, 6).rows]
+            rng.shuffle(rows)
+            if n > 1 and rng.random() < 0.25:
+                c = rng.randrange(n)
+                for row in rows:
+                    row[c] = 2 * row[c - 1]
+            m = IntMatrix(rows, ncols=n)
+            assert determinant(m) == _det_fraction(m)
 
     def test_det_multiplicative(self):
         rng = random.Random(22)
@@ -215,6 +237,48 @@ class TestSolveExact:
         a = IntMatrix([[1, 1]]).to_rational()
         sol = solve_exact(a, (Fraction(5),))
         assert sol is not None and sol[0] + sol[1] == 5
+
+    def test_degenerate_shapes(self):
+        assert solve_exact(IntMatrix([], ncols=3), ()) == (0, 0, 0)
+        assert solve_exact(IntMatrix([[], []], ncols=0), (0, 0)) == ()
+        assert solve_exact(IntMatrix([[], []], ncols=0), (0, 1)) is None
+        assert rank(IntMatrix([], ncols=3)) == 0
+        assert rank(IntMatrix([[], []], ncols=0)) == 0
+
+    def test_length_mismatch_and_float_rejected(self):
+        a = IntMatrix([[1, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            solve_exact(a, (1,))
+        with pytest.raises(TypeError):
+            solve_exact(a, (0.5, 1))
+
+    def test_matches_fraction_oracle(self):
+        # the same lexicographically-first pivot solution (or None) and the
+        # same rank as a Fraction Gauss-Jordan, on integer and rational
+        # systems that are often rank-deficient or inconsistent
+        rng = random.Random(61)
+        kinds = {"inconsistent": 0, "deficient": 0}
+        for _ in range(400):
+            nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+            ints = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+            if nr > 1 and rng.random() < 0.4:
+                k = rng.randint(-2, 2)
+                ints[-1] = [a + k * b for a, b in zip(ints[0], ints[1])]
+            if nc > 1 and rng.random() < 0.3:
+                for row in ints:
+                    row[-1] = 2 * row[0] - row[1]
+            rats = [[Fraction(e, rng.randint(1, 9)) for e in row] for row in ints]
+            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nr)]
+            if rng.random() < 0.5:
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc)]
+                b = [sum(a * v for a, v in zip(row, x)) for row in rats]
+            for rows, m in ((ints, IntMatrix(ints, ncols=nc)), (rats, RatMatrix(rats, ncols=nc))):
+                rnk, expected = fraction_solve(rows, b, nc)
+                assert solve_exact(m, b) == expected
+                assert rank(m) == rnk
+                kinds["inconsistent"] += expected is None
+                kinds["deficient"] += rnk < min(nr, nc)
+        assert min(kinds.values()) > 30
 
 
 class TestSmith:

@@ -6,13 +6,12 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import cokernel_order_bruteforce, rand_matrix, random_nonsingular
+from conftest import cokernel_order_bruteforce, rand_matrix, random_nonsingular, torus_subgroup_lattice
 from lgphase import (
     DimensionMismatch,
     IntMatrix,
     RankDeficientGaugeGroup,
     actions_equivalent,
-    canonical_action,
     canonical_torus_action,
     check_witness,
     determinant,
@@ -21,7 +20,6 @@ from lgphase import (
     hermite_normal_form,
     make_charge_matrix,
     orbifold_group,
-    torus_subgroup_lattice,
 )
 from lgphase import linalg
 
@@ -154,10 +152,6 @@ class TestOrbifoldGroup:
 
 
 class TestCanonicalAction:
-    def test_returns_stored_lattice(self):
-        od = orbifold_group(witness(TWOLG, (0, 5)))
-        assert canonical_action(od) == od.canonical_lattice
-
     def test_projective_line_lattice(self):
         od = orbifold_group(witness([[1, 1, -2]], (2,)))
         assert od.canonical_lattice == IntMatrix([[1, 1], [0, 2]])

@@ -12,7 +12,6 @@ from lgphase import (
     DimensionMismatch,
     EmptyMatrix,
     IntMatrix,
-    InternalCheckFailed,
     NotNegativeCone,
     RatMatrix,
     SingularChoice,
@@ -21,7 +20,6 @@ from lgphase import (
     check_witness,
     enumerate_phases,
     make_charge_matrix,
-    vev_split,
 )
 from lgphase import linalg, phases
 
@@ -123,28 +121,6 @@ class TestChargeMatrix:
             make_charge_matrix([])
         with pytest.raises(EmptyMatrix):
             make_charge_matrix([[]])
-
-    def test_basis_map_reconstructs(self):
-        rng = random.Random(81)
-        for _ in range(20):
-            rows = rng.randint(1, 3)
-            cols = rng.randint(rows, 6)
-            m = rand_matrix(rng, rows, cols, 4)
-            if all(all(e == 0 for e in r) for r in m.rows):
-                continue
-            cm = make_charge_matrix(m)
-            assert cm.basis_map * cm.reduced.to_rational() == m.to_rational()
-
-
-    def test_basis_map_mismatch_raises(self, monkeypatch):
-        # the reconstruction check is not an assert, so it survives python -O
-        cm = make_charge_matrix(TWOLG)
-        exact = linalg.invert_rational
-        monkeypatch.setattr(
-            linalg, "invert_rational", lambda m: exact(m) * frac_rows([[2, 0], [0, 1]])
-        )
-        with pytest.raises(InternalCheckFailed):
-            cm.basis_map
 
 
 class TestCandidates:
@@ -327,12 +303,3 @@ class TestSuperpotential:
         with pytest.raises(ValueError):
             check_superpotential_invariance(cm, [(-1, 0, 0, 0, 0, 0)])
 
-
-class TestVevSplit:
-    def test_partition(self):
-        cm = make_charge_matrix(TWOLG)
-        w = check_witness(cm, (4, 5))
-        vev, lg = vev_split(w)
-        assert vev == (4, 5)
-        assert lg == (0, 1, 2, 3)
-        assert sorted(vev + lg) == list(range(6))
