@@ -6,7 +6,8 @@ columns of ``A`` span the saturated integer kernel of ``Q`` and ``s_lift``
 is any exact lift of ``s`` (``Q * s_lift = s``).  A witness's phase cone is
 the simplicial cone spanned by its chosen columns, so the cone coordinates
 of ``s`` are the unique ``x`` with ``Q[:, chosen] * x = s``: one exact solve
-against the original charges gives both the membership test and the lift.
+against the original charges, kept on the charge matrix, gives both the
+membership test and the lift.
 For levels interior to that cone the polyhedron is a translated simplicial
 cone, which :func:`verify_simplicial_cone` checks through the kernel route
 alone (``ChargeMatrix.kernel``, computed once per model), independently of
@@ -95,9 +96,15 @@ def _cone_coordinates(cm, support, s):
     """The ``x`` with ``Q[:, support] * x == s``, or ``None`` outside the image.
 
     The support columns are independent and span the image of ``Q``, so
-    ``x`` is unique when it exists.
+    ``x`` is unique when it exists.  Each system is solved once per
+    charge matrix: membership, the simplicial check and the lift of one
+    level share the solve.
     """
-    return linalg.solve_exact(cm.matrix.select_columns(support), s)
+    key = (tuple(support), s)
+    memo = cm._cone_solutions
+    if key not in memo:
+        memo[key] = linalg.solve_exact(cm.matrix.select_columns(support), s)
+    return memo[key]
 
 
 def lift_level(cm, s, witness=None):

@@ -16,7 +16,11 @@ Conventions fixed here and relied on elsewhere:
   into ``[0, pivot)``, zero rows dropped.  Same lattice, same form.
 * ``integer_kernel(Q)`` returns the full saturated kernel lattice
   ``ker(Q) & Z^N`` as matrix columns, canonicalized by the Hermite form of
-  its transpose.
+  its transpose; ``row_space_reduce(Q)`` returns the Hermite form of the
+  saturated row lattice.  Both read their lattice off one fraction-free
+  tableau ``p * B^-1 * Q`` and run the Hermite arithmetic mod ``|p|``, so
+  no entry of the lattice pass outgrows the minors of ``Q``.  The Smith
+  form serves the orbifold groups only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import NotSquare, SingularMatrix
 
@@ -161,14 +165,6 @@ class _Matrix:
                 raise IndexError(j)
         return type(self)(tuple(tuple(r[j] for j in idx) for r in self._rows), ncols=len(idx))
 
-    def hstack(self, other):
-        if type(other) is not type(self) or other.nrows != self.nrows:
-            raise ValueError("hstack needs a same-type matrix with equal row count")
-        return type(self)(
-            tuple(a + b for a, b in zip(self._rows, other._rows)),
-            ncols=self._ncols + other._ncols,
-        )
-
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -193,9 +189,6 @@ class IntMatrix(_Matrix):
 
     __slots__ = ()
     _convert = staticmethod(_check_int)
-
-    def to_rational(self):
-        return RatMatrix(tuple(tuple(Fraction(e) for e in r) for r in self._rows), ncols=self._ncols)
 
 
 def _check_fraction(x):
@@ -574,6 +567,54 @@ def hermite_normal_form(m):
     return IntMatrix(tuple(tuple(r) for _, r in out), ncols=m.ncols)
 
 
+def _saturation_basis(m, d):
+    """Hermite basis of ``L = {w in Z^k : w * m == 0 mod d}``, all arithmetic mod ``d``.
+
+    ``m`` is a ``k x f`` list of integer rows and ``d > 0``.  ``L`` holds
+    ``d * Z^k``, so its Hermite form is ``k x k`` upper triangular.  It is
+    read off the Hermite form of ``Lam = rows of [m | I_k] + d * Z^(f+k)``:
+    a vector ``(0, w)`` lies in ``Lam`` exactly when ``w`` lies in ``L``
+    (``(0, w) = c * [m | I] + d * (u, v)`` forces ``c * m == 0 mod d`` and
+    ``w == c mod d``), and the Hermite rows of ``Lam`` with a pivot past
+    column ``f`` are an echelon basis of ``Lam & (0 + Z^k)``.
+
+    ``Lam`` holds ``d`` times every unit vector, so column ``c`` is
+    eliminated starting from the pivot row ``d * e_c`` and every entry
+    off the pivot stays reduced into ``[0, d)``: the arithmetic of Domich,
+    Kannan and Trotter (Math. Oper. Res. 12, 1987).  The pivot of column
+    ``c`` divides ``d``.  Returns the ``k x k`` Hermite form as row lists.
+
+    >>> _saturation_basis([[1], [1]], 2)
+    [[1, 1], [0, 2]]
+    """
+    k = len(m)
+    f = len(m[0]) if k else 0
+    width = f + k
+    work = [[x % d for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+    h = []
+    for c in range(width):
+        piv = [0] * width
+        piv[c] = d
+        for i, row in enumerate(work):
+            b = row[c]
+            if b:
+                a = piv[c]
+                x, y, g = xgcd(a, b)
+                ag, bg = a // g, b // g
+                work[i] = [(ag * v - bg * u) % d for u, v in zip(piv, row)]
+                piv = [(x * u + y * v) % d for u, v in zip(piv, row)]
+                piv[c] = g
+        if c >= f:
+            h.append(piv[f:])
+    for i, hi in enumerate(h):
+        g = hi[i]
+        for row in h[:i]:
+            q = row[i] // g
+            if q:
+                row[i:] = [(u - q * v) % d for u, v in zip(row[i:], hi[i:])]
+    return h
+
+
 def integer_kernel(m):
     """Saturated integer kernel ``ker(m) & Z^N`` as matrix columns.
 
@@ -581,12 +622,40 @@ def integer_kernel(m):
     basis of every integer solution of ``m * x = 0``, canonicalized by the
     Hermite form of the transpose.  Saturation means the basis extends to a
     basis of ``Z^N`` (all Smith invariants equal 1).
+
+    Proof of the construction.  Eliminate the columns of ``m`` from the
+    last to the first (:func:`_eliminate` on the reversed columns): the
+    held columns ``P`` are the last-first column basis, the rest ``F``, and
+    the held rows ``t`` satisfy ``t[:, P] == p * I`` with ``m * x == 0``
+    exactly when ``t * x == 0``.  So ``x`` is a kernel vector exactly when
+    ``x_P == -t[:, F] * x_F / p``, and integral exactly when ``z = x_F``
+    lies in ``L = {z : t[:, F] * z == 0 mod |p|}``; ``z -> x`` is a
+    bijection of ``L`` onto the kernel lattice.  Column ``j`` of ``F`` is a
+    combination of the columns of ``P`` past it, so the row of ``c in P``
+    vanishes on ``F`` past ``c``, and a vector of ``L`` zero before its
+    ``k``-th coordinate lifts to a kernel vector zero before ``F[k]``.
+    Hence the lift of the Hermite form of ``L``
+    (:func:`_saturation_basis`, arithmetic mod ``|p|``) is echelon with
+    the same pivots and reduced entries above them: it is the Hermite form
+    of the kernel, row by row.
+
+    >>> integer_kernel(IntMatrix([[1, 1, -2]])).rows
+    ((1, 0), (1, 2), (1, 1))
     """
-    _, _, v, rnk = _smith_general(m)
     ncols = m.ncols
-    vectors = tuple(tuple(v[i][j] for i in range(ncols)) for j in range(rnk, ncols))
-    h = hermite_normal_form(IntMatrix(vectors, ncols=ncols))
-    return h.transpose()
+    t, p, basis = _eliminate([row[::-1] for row in m.rows], ncols)
+    held = {ncols - 1 - c: row[::-1] for c, row in zip(basis, t) if c is not None}
+    free = [j for j in range(ncols) if j not in held]
+    h = _saturation_basis([[row[j] for row in held.values()] for j in free], abs(p))
+    vectors = []
+    for z in h:
+        x = [0] * ncols
+        for j, zj in zip(free, z):
+            x[j] = zj
+        for c, row in held.items():
+            x[c] = -sum(row[j] * zj for j, zj in zip(free, z)) // p
+        vectors.append(x)
+    return IntMatrix(vectors, ncols=ncols).transpose()
 
 
 def row_space_reduce(m):
@@ -596,9 +665,26 @@ def row_space_reduce(m):
     row space of ``m`` and generate its full integer point lattice.  Two
     matrices with equal rational row spaces reduce to the same output.
 
+    Proof of the construction.  :func:`_eliminate` holds the lex-first
+    column basis ``P`` of ``m``; sorted by pivot, its held rows are
+    ``t == p * E`` with ``E`` the reduced row echelon form, so
+    ``t[:, P] == p * I``.  A rational row vector ``y`` of the row space is
+    ``y_P * E``, so it is integral exactly when ``w = y_P`` lies in
+    ``L = {w in Z^r : w * t[:, F] == 0 mod |p|}`` (``F`` the other
+    columns), and ``w -> w * t / p`` maps ``L`` onto the saturated row
+    lattice.  Row ``k`` of ``E`` vanishes before ``P[k]``, so the lift of
+    the Hermite form of ``L`` (:func:`_saturation_basis`, arithmetic mod
+    ``|p|``) is echelon with pivots ``P`` and reduced entries above them:
+    it is the Hermite form of the saturated row lattice, row by row.
+
     >>> row_space_reduce(IntMatrix([[2, 2, -4], [1, 1, -2]])).rows
     ((1, 1, -2),)
     """
-    a = integer_kernel(m)
-    b = integer_kernel(a.transpose())
-    return hermite_normal_form(b.transpose())
+    t, p, basis = _eliminate(m.rows, m.ncols)
+    held = [row for _, row in sorted((c, row) for c, row in zip(basis, t) if c is not None)]
+    pivots = set(basis)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    h = _saturation_basis([[row[j] for j in free] for row in held], abs(p))
+    cols = tuple(zip(*held))
+    rows = tuple(tuple(sum(w * e for w, e in zip(ws, col)) // p for col in cols) for ws in h)
+    return IntMatrix(rows, ncols=m.ncols)

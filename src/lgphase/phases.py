@@ -69,6 +69,11 @@ class ChargeMatrix:
         """Saturated integer kernel of ``matrix`` (see :func:`lgphase.linalg.integer_kernel`)."""
         return linalg.integer_kernel(self.matrix)
 
+    @cached_property
+    def _cone_solutions(self):
+        """Cone coordinates solved so far, keyed by ``(support, level)``; see :mod:`lgphase.cones`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class HerbstWitness:

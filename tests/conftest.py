@@ -4,7 +4,11 @@ The brute-force oracles here deliberately avoid the package's own Smith and
 Hermite code paths: the cokernel oracle runs on a local fraction inverse
 and set closure, the determinant oracle on permutation expansion, the
 linear-system oracle on a local ``Fraction`` Gauss-Jordan, so agreement is
-a genuine cross-check rather than a tautology.  ``torus_subgroup_lattice``
+a genuine cross-check rather than a tautology.  The lattice oracles
+``smith_integer_kernel`` and ``smith_row_space_reduce`` do use the
+package's Smith and general Hermite forms: they are the route the package
+took before its lattice pass ran on the fraction-free tableau, a second
+algorithm that shares no code with that pass.  ``torus_subgroup_lattice``
 is no oracle but an encoding of torus subgroups, built on the package's
 Hermite form, that the orbifold tests compare actions with.
 """
@@ -14,6 +18,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 from lgphase import IntMatrix, hermite_normal_form
+from lgphase.linalg import _smith_general
 
 
 def rand_matrix(rng, nrows, ncols, bound):
@@ -207,3 +212,23 @@ def random_unimodular(rng, n, steps=12):
         elif kind == 2:
             rows[i] = [-a for a in rows[i]]
     return IntMatrix(rows, ncols=n)
+
+
+def smith_integer_kernel(m):
+    """Saturated kernel from the Smith transform: the columns of ``V`` past the rank.
+
+    ``D == U * m * V`` with ``U``, ``V`` unimodular, so the last ``N - rank``
+    columns of ``V`` are a basis of ``ker(m) & Z^N``; the Hermite form of
+    their transpose makes it canonical.
+    """
+    _, _, v, rnk = _smith_general(m)
+    ncols = m.ncols
+    vectors = tuple(tuple(v[i][j] for i in range(ncols)) for j in range(rnk, ncols))
+    return hermite_normal_form(IntMatrix(vectors, ncols=ncols)).transpose()
+
+
+def smith_row_space_reduce(m):
+    """Saturated row lattice as the kernel of the kernel, in Hermite form."""
+    a = smith_integer_kernel(m)
+    b = smith_integer_kernel(a.transpose())
+    return hermite_normal_form(b.transpose())

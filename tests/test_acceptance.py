@@ -194,8 +194,8 @@ def test_criterion_07_criterion_matches_cone_oracle(capsys):
                 vev = red.select_columns(idx)
                 if determinant(vev) == 0:
                     continue
-                off = invert_rational(vev.to_rational()) * \
-                    red.select_columns(rest).to_rational()
+                off = invert_rational(RatMatrix(vev.rows)) * \
+                    RatMatrix(red.select_columns(rest).rows)
                 coord = RatMatrix([[Fraction(kern[j, k]) for k in range(kern.ncols)]
                                    for j in rest])
                 chosen_rows = RatMatrix([[Fraction(kern[j, k]) for k in range(kern.ncols)]

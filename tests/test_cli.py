@@ -263,9 +263,10 @@ class TestPolytopeCommand:
         assert json.loads(out)["membership"] == "outside"
 
     def test_one_kernel_and_one_inverse_per_call(self, capsys, twolg_file, monkeypatch):
-        # row_space_reduce takes two kernels, the cached ChargeMatrix.kernel
-        # one; the cone coordinates need no inverse, verify_simplicial_cone one
-        calls = {"integer_kernel": 0, "invert_rational": 0}
+        # only the cached ChargeMatrix.kernel takes a kernel; membership, the
+        # simplicial check and the lift share one cone-coordinate solve;
+        # verify_simplicial_cone takes the one inverse
+        calls = {"integer_kernel": 0, "invert_rational": 0, "solve_exact": 0}
         for name in calls:
             def counted(*args, _fn=getattr(linalg, name), _name=name):
                 calls[_name] += 1
@@ -273,7 +274,7 @@ class TestPolytopeCommand:
             monkeypatch.setattr(linalg, name, counted)
         code, _ = run(capsys, ["polytope", twolg_file, "--chosen", "4,5", "--level=-3,-2"])
         assert code == 0
-        assert calls == {"integer_kernel": 3, "invert_rational": 1}
+        assert calls == {"integer_kernel": 1, "invert_rational": 1, "solve_exact": 1}
 
     def test_fractional_level_accepted(self, capsys):
         code, out = run(capsys, ["polytope", "[[1,1,-2]]", "--chosen", "2",
