@@ -30,17 +30,31 @@ __all__ = [
 ]
 
 
+def _read_file(path):
+    """The UTF-8 text of the file at ``path``; unreadable files are a :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {path!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _read_matrix_argument(spec):
     if spec == "-":
         return report.parse_charge_matrix(sys.stdin.read(), source="stdin")
     if spec.lstrip().startswith(("[", "{")):
         return report.parse_charge_matrix(spec, source="inline matrix")
+    return report.parse_charge_matrix(_read_file(spec), source=spec)
+
+
+def _witness_argument(cm, chosen):
+    """The witness of the ``--chosen`` columns; a malformed index list is a :class:`ParseError`."""
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(f"cannot read {spec!r}: {e.strerror}") from None
-    return report.parse_charge_matrix(text, source=spec)
+        return phases.check_witness(cm, chosen)
+    except ValueError as e:  # raised only on the shape of `chosen`
+        raise ParseError(f"--chosen: {e}") from None
 
 
 def _emit(args, payload, table_text=None):
@@ -61,8 +75,7 @@ def cmd_phases(args):
 
 def cmd_orbifold(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
-    chosen = report.parse_index_list(args.chosen)
-    w = phases.check_witness(cm, chosen)
+    w = _witness_argument(cm, report.parse_index_list(args.chosen))
     od = orbifold.orbifold_group(w)
     with report.lossless_digits():
         payload = {
@@ -72,11 +85,7 @@ def cmd_orbifold(args):
                 "d": report.report_matrix(od.smith.d),
                 "v": report.report_matrix(od.smith.v),
             },
-            "invariant_factors": [str(d) for d in od.invariant_factors],
-            "effective_factors": [str(d) for d in orbifold.effective_factors(od)],
-            "group_order": str(od.group_order),
-            "action_exponents": report.report_matrix(od.action_exponents),
-            "canonical_lattice": report.report_matrix(od.canonical_lattice),
+            **report._orbifold_section(od),
         }
     eff = payload["effective_factors"]
     table = "\n".join(
@@ -99,7 +108,7 @@ def cmd_polytope(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
     chosen = report.parse_index_list(args.chosen)
     level = report.parse_level(args.level)
-    w = phases.check_witness(cm, chosen)
+    w = _witness_argument(cm, chosen)
     membership = cones.is_in_phase_cone(w, level)
     simplicial = spaces = lift = None
     if membership == cones.INTERIOR:
@@ -138,15 +147,18 @@ def cmd_polytope(args):
 
 def cmd_generate(args):
     for k in range(args.count):
-        cfg = generate.GeneratorConfig(
-            r=args.r,
-            n=args.n,
-            seed=args.seed + k,
-            entry_bound=args.entry_bound,
-            sample_bound=args.sample_bound,
-            allow_zero_columns=args.allow_zero_columns,
-            pad_dependent_rows=args.pad,
-        )
+        try:
+            cfg = generate.GeneratorConfig(
+                r=args.r,
+                n=args.n,
+                seed=args.seed + k,
+                entry_bound=args.entry_bound,
+                sample_bound=args.sample_bound,
+                allow_zero_columns=args.allow_zero_columns,
+                pad_dependent_rows=args.pad,
+            )
+        except ValueError as e:
+            raise ParseError(str(e)) from None
         q = generate.random_lg_model(cfg)
         w = generate.witness_of_construction(q, cfg)
         with report.lossless_digits():
@@ -162,19 +174,7 @@ def cmd_generate(args):
 
 def cmd_check(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
-    try:
-        with open(args.monomials, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {args.monomials!r}: {e.strerror}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(
-            f"{args.monomials}: bad JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    except ValueError as e:
-        raise ParseError(f"{args.monomials}: {e}") from None
-    except RecursionError:
-        raise ParseError(f"{args.monomials}: JSON nested too deeply") from None
+    data = report._decode_json(_read_file(args.monomials), args.monomials)
     if not isinstance(data, list) or not all(isinstance(m, list) for m in data):
         raise ParseError(f"{args.monomials}: expected a JSON list of exponent vectors")
     monomials = [[report._int_from_cell(c, f"monomial {i}") for c in m] for i, m in enumerate(data)]

@@ -79,14 +79,8 @@ class PhaseConeReport:
     reduced_basis: bool
 
 
-def _frac(x):
-    if isinstance(x, float):
-        raise TypeError("refusing a float level; pass Fraction, int, or 'p/q' text")
-    return Fraction(x)
-
-
 def _as_level(cm, s):
-    vec = tuple(_frac(x) for x in s)
+    vec = tuple(linalg._check_fraction(x) for x in s)
     if len(vec) != cm.rho:
         raise DimensionMismatch(f"level has length {len(vec)}, expected {cm.rho}")
     return vec

@@ -16,6 +16,7 @@ platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg, phases
 from .errors import RejectionBudgetExceeded
@@ -120,20 +121,21 @@ def random_lg_model(cfg):
     identity = [[int(a == b) for b in range(r)] for a in range(r)]
     for _ in range(ATTEMPT_BUDGET):
         block = [[rng.int_between(-eb, eb) for _ in range(r)] for _ in range(r)]
-        p, t = linalg._fraction_free_solve([x + e for x, e in zip(block, identity)], range(r))
-        if p:
+        t, p, basis = linalg._eliminate([x + e for x, e in zip(block, identity)], range(r))
+        if None not in basis:
             break
     else:
         raise RejectionBudgetExceeded(ATTEMPT_BUDGET, "no nonsingular square block found")
-    # p * R^-1: column c is in the closed negative cone iff p * (p * R^-1 c) <= 0
+    # p * R^-1, rows in any order: c is in the closed negative cone iff no entry of p R^-1 c fails
     scaled_inverse = [row[r:] for row in t]
+    fails = phases._wrong_sign(p)
     cols = []
     for _ in range(n):
         for _ in range(ATTEMPT_BUDGET):
             c = [rng.int_between(-sb, sb) for _ in range(r)]
             if not cfg.allow_zero_columns and not any(c):
                 continue
-            if all(p * sum(x * y for x, y in zip(row, c)) <= 0 for row in scaled_inverse):
+            if not any(map(fails, [sum(map(mul, row, c)) for row in scaled_inverse])):
                 cols.append(c)
                 break
         else:

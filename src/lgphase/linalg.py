@@ -21,6 +21,8 @@ Conventions fixed here and relied on elsewhere:
   tableau ``p * B^-1 * Q`` and run the Hermite arithmetic mod ``|p|``, so
   no entry of the lattice pass outgrows the minors of ``Q``.  The Smith
   form serves the orbifold groups only.
+* Every tableau ``p * B^-1 * M`` starts in ``_eliminate(rows, cols)``, on
+  integer rows; only the subset walk of :mod:`lgphase.phases` moves one on.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ class RatMatrix(_Matrix):
 
 
 # ---------------------------------------------------------------------------
-# one fraction-free tableau: rank, determinant, inverse and solve
+# one fraction-free tableau, one entry point: rank, determinant, inverse, solve
 
 
 def _exchange(t, a, c, p):
@@ -258,58 +260,41 @@ def _pivot_in(t, p, basis, cols, free):
     return p, True
 
 
-def _fraction_free_solve(rows, cols):
-    """Fraction-free Gauss-Jordan elimination of the columns ``cols`` of ``rows``.
+def _eliminate(rows, cols):
+    """The tableau of the integer rows ``rows`` with the columns ``cols`` pivoted in, in order.
 
-    ``R`` is the square block of ``rows`` in the columns ``cols`` (in that
-    order).  Returns ``(p, T)`` with ``T == p * R^-1 * rows`` as integer
-    row lists, where ``p`` is the last Bareiss pivot (``+-det R``), or
-    ``(0, None)`` when ``R`` is singular.  Row ``k`` of ``T`` belongs to
-    column ``cols[k]``, which ``T`` holds as ``p`` times a unit vector.
+    Column ``c`` is pivoted into the first row that holds no column yet and
+    is nonzero in ``c``; a column with no such row depends on those before
+    it and is skipped.  Returns ``(t, p, basis)`` as for :func:`_pivot_in`,
+    with ``t == p * B^-1 * rows`` and ``p == det B``.  Rows that hold no
+    column are zero in every column of ``cols``, so a square block is
+    singular exactly when ``None in basis``.
 
-    >>> _fraction_free_solve([[2, 1, 1, 0], [1, 1, 0, 1]], (0, 1))
-    (1, [[1, 0, 1, -1], [0, 1, -1, 2]])
-    >>> _fraction_free_solve([[1, 2], [2, 4]], (0, 1))
-    (0, None)
+    >>> _eliminate([[2, 1, 1, 0], [1, 1, 0, 1]], (0, 1))
+    ([[1, 0, 1, -1], [0, 1, -1, 2]], 1, [0, 1])
+    >>> _eliminate([[1, 2], [2, 4]], (0, 1))
+    ([[1, 2], [0, 0]], 1, [0, None])
     """
-    t = [list(r) for r in rows]
+    t = [list(row) for row in rows]
     basis = [None] * len(t)
-    p, ok = _pivot_in(t, 1, basis, cols, range(len(t)))
-    if not ok:
-        return 0, None
-    row_of = {c: a for a, c in enumerate(basis)}
-    return p, [t[row_of[c]] for c in cols]
+    p = 1
+    for c in cols:
+        a = next((i for i, held in enumerate(basis) if held is None and t[i][c]), None)
+        if a is not None:
+            p = _exchange(t, a, c, p)
+            basis[a] = c
+    return t, p, basis
 
 
 def _integer_row(row):
-    """``(s, s * row)`` with ``s`` the lcm of the denominators, as integers."""
+    """``row`` times the lcm of its denominators, as integers."""
     s = lcm(*(e.denominator for e in row))
-    return s, [e.numerator * (s // e.denominator) for e in row]
-
-
-def _eliminate(rows, ncols):
-    """Pivot every column among the first ``ncols`` of ``rows`` that can be pivoted.
-
-    Each row is first scaled to integers by :func:`_integer_row`.  Column
-    ``c`` is pivoted into the first row that holds no column yet and has a
-    nonzero entry in it; a column with no such row depends on the columns
-    before it and is skipped.  Returns ``(t, p, basis)`` as for
-    :func:`_pivot_in`: ``t == p * B^-1 * rows`` (scaled), ``basis[a]`` the
-    column held by row ``a`` or ``None``, and ``p == det B``.  Rows that
-    hold no column are zero in the first ``ncols`` columns.
-    """
-    t = [_integer_row(row)[1] for row in rows]
-    basis = [None] * len(t)
-    p = 1
-    for c in range(ncols):
-        free = [a for a, held in enumerate(basis) if held is None]
-        p, _ = _pivot_in(t, p, basis, (c,), free)
-    return t, p, basis
+    return [e.numerator * (s // e.denominator) for e in row]
 
 
 def rank(m):
     """Rank of an integer or rational matrix, by exact fraction-free elimination."""
-    _, _, basis = _eliminate(m.rows, m.ncols)
+    _, _, basis = _eliminate([_integer_row(row) for row in m.rows], range(m.ncols))
     return len(basis) - basis.count(None)
 
 
@@ -327,7 +312,7 @@ def determinant(m):
         raise NotSquare(f"determinant needs a square matrix, got {m.shape}")
     if isinstance(m, RatMatrix):
         m = m.to_integer()
-    _, p, basis = _eliminate(m.rows, m.ncols)
+    _, p, basis = _eliminate(m.rows, range(m.ncols))
     if None in basis:
         return 0
     inversions = sum(a > b for i, a in enumerate(basis) for b in basis[i + 1:])
@@ -337,21 +322,21 @@ def determinant(m):
 def invert_rational(m):
     """Exact inverse of a square integer or rational matrix, as ``RatMatrix``.
 
-    Each row is scaled by the lcm of its denominators, the integer matrix
-    is inverted fraction-free, and column ``j`` of the result is multiplied
-    back by the scale of row ``j``.  Raises :class:`SingularMatrix` when no
-    inverse exists.
+    Each row of ``[M | I]`` is scaled to integers, ``S * [M | I]``, and
+    eliminated in the columns of ``M``: the tableau is
+    ``p * (S M)^-1 * S * [M | I]``, whose last ``n`` columns are
+    ``p * M^-1`` once its rows are put in column order.  Raises
+    :class:`SingularMatrix` when no inverse exists.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"inverse needs a square matrix, got {m.shape}")
     n = m.nrows
-    scaled = [_integer_row(row) for row in m.rows]
-    aug = [row + [int(k == i) for k in range(n)] for i, (_, row) in enumerate(scaled)]
-    p, t = _fraction_free_solve(aug, range(n))
-    if p == 0:
+    aug = [_integer_row(row + tuple(int(k == i) for k in range(n))) for i, row in enumerate(m.rows)]
+    t, p, basis = _eliminate(aug, range(n))
+    if None in basis:
         raise SingularMatrix("matrix is singular")
     return RatMatrix(
-        tuple(tuple(Fraction(x * s, p) for x, (s, _) in zip(row[n:], scaled)) for row in t),
+        tuple(tuple(Fraction(x, p) for x in row[n:]) for _, row in sorted(zip(basis, t))),
         ncols=n,
     )
 
@@ -368,7 +353,7 @@ def solve_exact(a, b):
     bvec = [_check_fraction(x) for x in b]
     if len(bvec) != nr:
         raise ValueError(f"right-hand side has length {len(bvec)}, expected {nr}")
-    t, p, basis = _eliminate([row + (x,) for row, x in zip(a.rows, bvec)], nc)
+    t, p, basis = _eliminate([_integer_row(row + (x,)) for row, x in zip(a.rows, bvec)], range(nc))
     x = [Fraction(0)] * nc
     for row, col in zip(t, basis):
         if col is not None:
@@ -643,7 +628,7 @@ def integer_kernel(m):
     ((1, 0), (1, 2), (1, 1))
     """
     ncols = m.ncols
-    t, p, basis = _eliminate([row[::-1] for row in m.rows], ncols)
+    t, p, basis = _eliminate([row[::-1] for row in m.rows], range(ncols))
     held = {ncols - 1 - c: row[::-1] for c, row in zip(basis, t) if c is not None}
     free = [j for j in range(ncols) if j not in held]
     h = _saturation_basis([[row[j] for row in held.values()] for j in free], abs(p))
@@ -680,7 +665,7 @@ def row_space_reduce(m):
     >>> row_space_reduce(IntMatrix([[2, 2, -4], [1, 1, -2]])).rows
     ((1, 1, -2),)
     """
-    t, p, basis = _eliminate(m.rows, m.ncols)
+    t, p, basis = _eliminate(m.rows, range(m.ncols))
     held = [row for _, row in sorted((c, row) for c, row in zip(basis, t) if c is not None)]
     pivots = set(basis)
     free = [j for j in range(m.ncols) if j not in pivots]

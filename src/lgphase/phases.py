@@ -15,8 +15,9 @@ invariant unchanged while making rank-deficient input well defined.
 
 For a block ``R`` of ``r`` columns, fraction-free Gauss-Jordan elimination
 gives the integer tableau ``T = p * R^-1 * Q`` with ``p = +-det R``.  The
-block is a witness exactly when ``p * T`` is ``<= 0`` outside the chosen
-columns, and ``R^-1 Q = T / p`` is its row-reduced matrix.  The search
+block is a witness exactly when no entry ``x`` of ``T`` outside the chosen
+columns has ``p * x > 0`` (one rule for the walk, :func:`check_witness` and
+the generator), and ``R^-1 Q = T / p`` is its row-reduced matrix.  The search
 moves this one tableau from subset to subset by single-column exchanges.
 """
 
@@ -135,6 +136,14 @@ def candidate_columns(cm):
     return tuple(j for j, c in enumerate(cols) if c != zero and counts[c] == 1)
 
 
+def _wrong_sign(p):
+    """The Herbst sign rule on a tableau ``p * B^-1 * Q``: the predicate ``x -> p * x > 0``.
+
+    ``B`` is a witness exactly when no entry off its columns satisfies it.
+    """
+    return (0).__lt__ if p > 0 else (0).__gt__
+
+
 def check_witness(cm, chosen):
     """Verify one choice of columns and return the witness.
 
@@ -145,7 +154,7 @@ def check_witness(cm, chosen):
     negative cone of the block.
 
     One fraction-free elimination gives ``p * R^-1 * Q`` with ``p = +-det R``;
-    its entries are integers, so the sign test ``p * entry <= 0`` and the
+    its entries are integers, so the sign test (:func:`_wrong_sign`) and the
     row-reduced matrix ``entry / p`` are both read off it exactly.
     """
     idx = tuple(sorted(chosen))
@@ -154,13 +163,15 @@ def check_witness(cm, chosen):
     for j in idx:
         if not 0 <= j < cm.num_fields:
             raise ValueError(f"column index {j} out of range for {cm.num_fields} fields")
-    p, t = linalg._fraction_free_solve(cm.reduced.rows, idx)
-    if p == 0:
+    t, p, basis = linalg._eliminate(cm.reduced.rows, idx)
+    if None in basis:
         raise SingularChoice(f"columns {idx} are linearly dependent")
+    t = [row for _, row in sorted(zip(basis, t))]
     rest = tuple(j for j in range(cm.num_fields) if j not in set(idx))
+    fails = _wrong_sign(p)
     for j in rest:
         for a, row in enumerate(t):
-            if row[j] * p > 0:
+            if fails(row[j]):
                 raise NotNegativeCone(a, j)
     row_reduced = RatMatrix(
         tuple(tuple(Fraction(x, p) for x in row) for row in t), ncols=cm.num_fields
@@ -210,13 +221,13 @@ def _revolving_door(n, t):
 
 
 def _inside_negative_cone(t, p):
-    """True when the tableau ``t == p * B^-1 * Q`` is ``<= 0`` off its basis.
+    """True when the tableau ``t == p * B^-1 * Q`` passes :func:`_wrong_sign` off its basis.
 
     Row ``a`` holds ``p`` in its own basis column and ``0`` in the others,
-    so it passes exactly when that is its only entry of the sign of ``p``.
+    so it passes exactly when that is its only entry that fails.
     """
-    same_sign = (0).__lt__ if p > 0 else (0).__gt__
-    return all(sum(map(same_sign, row)) == 1 for row in t)
+    fails = _wrong_sign(p)
+    return all(sum(map(fails, row)) == 1 for row in t)
 
 
 def enumerate_phases(cm, prune=True):

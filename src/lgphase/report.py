@@ -80,21 +80,26 @@ def _matrix_from_rows(rows, source):
     return IntMatrix(out)
 
 
+def _decode_json(text, source):
+    """``json.loads(text)``, with every way it can refuse the text as a :class:`ParseError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{source}: bad JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:
+        # integers past the interpreter's digit limit for str -> int
+        raise ParseError(f"{source}: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: JSON nested too deeply") from None
+
+
 def parse_charge_matrix(text, source="input"):
     """Charge matrix from JSON (``{"Q": [[...]]}`` or a bare array) or CSV."""
     stripped = text.strip()
     if not stripped:
         raise ParseError(f"{source}: empty input")
     if stripped[0] in "{[":
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{source}: bad JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-        except ValueError as e:
-            # integers past the interpreter's digit limit for str -> int
-            raise ParseError(f"{source}: {e}") from None
-        except RecursionError:
-            raise ParseError(f"{source}: JSON nested too deeply") from None
+        data = _decode_json(stripped, source)
         if isinstance(data, dict):
             if "Q" not in data:
                 raise ParseError(f"{source}: JSON object lacks the key \"Q\"")

@@ -2,7 +2,8 @@
 
 The brute-force oracles here deliberately avoid the package's own Smith and
 Hermite code paths: the cokernel oracle runs on a local fraction inverse
-and set closure, the determinant oracle on permutation expansion, the
+and set closure, the determinant oracle and the Herbst sign-test oracles
+(``cramer_check``, ``oracle_phases``) on permutation expansion, the
 linear-system oracle on a local ``Fraction`` Gauss-Jordan, so agreement is
 a genuine cross-check rather than a tautology.  The lattice oracles
 ``smith_integer_kernel`` and ``smith_row_space_reduce`` do use the
@@ -14,10 +15,10 @@ Hermite form, that the orbifold tests compare actions with.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 
-from lgphase import IntMatrix, hermite_normal_form
+from lgphase import IntMatrix, RatMatrix, candidate_columns, hermite_normal_form
 from lgphase.linalg import _smith_general
 
 
@@ -60,6 +61,40 @@ def cramer_positive_row(block_rows, det, col):
         if det_rows(patched) * det > 0:
             return a
     return None
+
+
+def cramer_check(cm, chosen):
+    """Oracle for :func:`check_witness` by Cramer signs and a Fraction inverse.
+
+    Returns ``("singular",)``, ``("reject", a, j)`` for the first positive
+    entry in column-then-row order, or ``("witness", row_reduced)``.
+    """
+    idx = tuple(sorted(chosen))
+    r, n = cm.rank, cm.num_fields
+    cols = cm.reduced.columns()
+    block = [[cols[j][a] for j in idx] for a in range(r)]
+    det = det_rows(block)
+    if det == 0:
+        return ("singular",)
+    for j in range(n):
+        if j not in idx:
+            a = cramer_positive_row(block, det, list(cols[j]))
+            if a is not None:
+                return ("reject", a, j)
+    inv = fraction_inverse(block)
+    reduced = [[sum(inv[a][k] * cols[j][k] for k in range(r)) for j in range(n)] for a in range(r)]
+    return ("witness", RatMatrix(reduced, ncols=n))
+
+
+def oracle_phases(cm, prune):
+    """Every ``(chosen, row_reduced)`` that :func:`cramer_check` accepts, lexicographically."""
+    pool = candidate_columns(cm) if prune else range(cm.num_fields)
+    found = []
+    for combo in combinations(pool, cm.rank):
+        verdict = cramer_check(cm, combo)
+        if verdict[0] == "witness":
+            found.append((combo, verdict[1]))
+    return found
 
 
 def random_nonsingular(rng, n, bound):

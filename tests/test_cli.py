@@ -33,6 +33,14 @@ def run(capsys, argv):
     return code, captured.out
 
 
+def assert_usage_error(capsys, argv):
+    """Exit 2 with one ``error:`` line on stderr and nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestPhasesCommand:
     def test_finds_phases(self, capsys, twolg_file):
         code, out = run(capsys, ["phases", twolg_file, "--json"])
@@ -185,6 +193,31 @@ class TestErrorPaths:
 
     def test_missing_required_option_exit_two(self, capsys, twolg_file):
         assert main(["check", twolg_file]) == 2
+
+    @pytest.mark.parametrize("command", ["orbifold", "polytope"])
+    @pytest.mark.parametrize("chosen", ["5", "4,5,0", "5,5", "-1,5", "4,6", ""])
+    def test_malformed_chosen_exit_two(self, capsys, twolg_file, command, chosen):
+        # wrong length, duplicated, negative or out of range: a usage error
+        argv = [command, twolg_file, f"--chosen={chosen}"]
+        if command == "polytope":
+            argv.append("--level=1,1")
+        assert_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("option", ["--r=0", "--n=-1", "--entry-bound=0",
+                                        "--sample-bound=0", "--pad=-1"])
+    def test_out_of_range_generator_option_exit_two(self, capsys, option):
+        # the later of two equal options wins
+        assert_usage_error(capsys, ["generate", "--r", "1", "--n", "2", option])
+
+    def test_matrix_file_not_utf8_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_bytes(b"\xff\xfe[[1,1,-2]]")
+        assert_usage_error(capsys, ["phases", str(path)])
+
+    def test_monomials_file_not_utf8_exit_two(self, capsys, twolg_file, tmp_path):
+        mono = tmp_path / "mono.json"
+        mono.write_bytes(b"\xff\xfe[[1,1,-2]]")
+        assert_usage_error(capsys, ["check", twolg_file, "--monomials", str(mono)])
 
     def test_inner_math_error_exit_one(self, capsys, twolg_file):
         # chosen columns that are linearly dependent

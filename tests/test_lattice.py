@@ -63,11 +63,11 @@ def awkward_matrix(rng, kind):
 
 
 def _pivot(m):
-    return linalg._eliminate(m.rows, m.ncols)[1]
+    return linalg._eliminate(m.rows, range(m.ncols))[1]
 
 
 def _reversed_pivot(m):
-    return linalg._eliminate([row[::-1] for row in m.rows], m.ncols)[1]
+    return linalg._eliminate([row[::-1] for row in m.rows], range(m.ncols))[1]
 
 
 class TestAgainstSmithRoute:

@@ -202,9 +202,10 @@ class TestInverse:
                     assert invert_rational(m) == RatMatrix(expected, ncols=n)
 
 
-class TestFractionFreeSolve:
+class TestEliminate:
     def test_scaled_inverse_times_rows(self):
         rng = random.Random(53)
+        singular = 0
         for _ in range(150):
             r = rng.randint(0, 4)
             width = rng.randint(r, r + 4)
@@ -212,16 +213,20 @@ class TestFractionFreeSolve:
             cols = rng.sample(range(width), r)
             block = [[row[c] for c in cols] for row in rows]
             det = det_permutation_expansion(IntMatrix(block, ncols=r))
-            p, t = linalg._fraction_free_solve(rows, cols)
+            t, p, basis = linalg._eliminate(rows, cols)
             if det == 0:
-                assert (p, t) == (0, None)
+                assert None in basis
+                singular += 1
                 continue
+            assert sorted(basis) == sorted(cols)
             assert abs(p) == abs(det)
             inv = fraction_inverse(block)
-            assert t == [
+            row_of = dict(zip(basis, t))
+            assert [row_of[c] for c in cols] == [
                 [p * sum(inv[a][k] * rows[k][j] for k in range(r)) for j in range(width)]
                 for a in range(r)
             ]
+        assert singular > 10
 
 
 class TestSolveExact:

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import cramer_positive_row, det_rows, fraction_inverse, rand_matrix
+from conftest import cramer_check, oracle_phases, rand_matrix
 from lgphase import (
     DimensionMismatch,
     EmptyMatrix,
@@ -32,29 +32,6 @@ def frac_rows(rows):
     return RatMatrix([[Fraction(e) for e in row] for row in rows])
 
 
-def cramer_check(cm, chosen):
-    """Oracle for :func:`check_witness` by Cramer signs and a Fraction inverse.
-
-    Returns ``("singular",)``, ``("reject", a, j)`` for the first positive
-    entry in column-then-row order, or ``("witness", row_reduced)``.
-    """
-    idx = tuple(sorted(chosen))
-    r, n = cm.rank, cm.num_fields
-    cols = cm.reduced.columns()
-    block = [[cols[j][a] for j in idx] for a in range(r)]
-    det = det_rows(block)
-    if det == 0:
-        return ("singular",)
-    for j in range(n):
-        if j not in idx:
-            a = cramer_positive_row(block, det, list(cols[j]))
-            if a is not None:
-                return ("reject", a, j)
-    inv = fraction_inverse(block)
-    reduced = [[sum(inv[a][k] * cols[j][k] for k in range(r)) for j in range(n)] for a in range(r)]
-    return ("witness", RatMatrix(reduced, ncols=n))
-
-
 def checked(cm, chosen):
     """What :func:`check_witness` says, in the oracle's terms."""
     try:
@@ -63,16 +40,6 @@ def checked(cm, chosen):
         return ("singular",)
     except NotNegativeCone as e:
         return ("reject", e.row, e.col)
-
-
-def oracle_phases(cm, prune):
-    pool = candidate_columns(cm) if prune else range(cm.num_fields)
-    found = []
-    for combo in combinations(pool, cm.rank):
-        verdict = cramer_check(cm, combo)
-        if verdict[0] == "witness":
-            found.append((combo, verdict[1]))
-    return found
 
 
 def awkward_matrices(seed, count):
