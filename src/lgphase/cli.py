@@ -49,12 +49,12 @@ def _read_matrix_argument(spec):
     return report.parse_charge_matrix(_read_file(spec), source=spec)
 
 
-def _witness_argument(cm, chosen):
-    """The witness of the ``--chosen`` columns; a malformed index list is a :class:`ParseError`."""
+def _usage(label, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; its ``ValueError``, a malformed argument, is a :class:`ParseError`."""
     try:
-        return phases.check_witness(cm, chosen)
-    except ValueError as e:  # raised only on the shape of `chosen`
-        raise ParseError(f"--chosen: {e}") from None
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ParseError(f"{label}{e}") from None
 
 
 def _emit(args, payload, table_text=None):
@@ -75,7 +75,7 @@ def cmd_phases(args):
 
 def cmd_orbifold(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
-    w = _witness_argument(cm, report.parse_index_list(args.chosen))
+    w = _usage("--chosen: ", phases.check_witness, cm, report.parse_index_list(args.chosen))
     od = orbifold.orbifold_group(w)
     with report.lossless_digits():
         payload = {
@@ -87,20 +87,8 @@ def cmd_orbifold(args):
             },
             **report._orbifold_section(od),
         }
-    eff = payload["effective_factors"]
-    table = "\n".join(
-        [
-            f"chosen columns: {', '.join(payload['chosen'])}",
-            f"orbifold group: {' x '.join('Z' + d for d in eff) if eff else 'trivial'}",
-            f"invariant factors: {', '.join(payload['invariant_factors']) or '-'}",
-            f"group order: {payload['group_order']}",
-            "action exponents (row a modulo factor a):",
-            *report._matrix_lines(payload["action_exponents"]),
-            "canonical action lattice:",
-            *report._matrix_lines(payload["canonical_lattice"]),
-        ]
-    )
-    _emit(args, payload, table)
+    lines = [f"chosen columns: {', '.join(payload['chosen'])}", *report._orbifold_lines(payload, "")]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -108,7 +96,7 @@ def cmd_polytope(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
     chosen = report.parse_index_list(args.chosen)
     level = report.parse_level(args.level)
-    w = _witness_argument(cm, chosen)
+    w = _usage("--chosen: ", phases.check_witness, cm, chosen)
     membership = cones.is_in_phase_cone(w, level)
     simplicial = spaces = lift = None
     if membership == cones.INTERIOR:
@@ -146,19 +134,20 @@ def cmd_polytope(args):
 
 
 def cmd_generate(args):
+    if args.count < 0:
+        raise ParseError(f"--count must be nonnegative, got {args.count}")
     for k in range(args.count):
-        try:
-            cfg = generate.GeneratorConfig(
-                r=args.r,
-                n=args.n,
-                seed=args.seed + k,
-                entry_bound=args.entry_bound,
-                sample_bound=args.sample_bound,
-                allow_zero_columns=args.allow_zero_columns,
-                pad_dependent_rows=args.pad,
-            )
-        except ValueError as e:
-            raise ParseError(str(e)) from None
+        cfg = _usage(
+            "",
+            generate.GeneratorConfig,
+            r=args.r,
+            n=args.n,
+            seed=args.seed + k,
+            entry_bound=args.entry_bound,
+            sample_bound=args.sample_bound,
+            allow_zero_columns=args.allow_zero_columns,
+            pad_dependent_rows=args.pad,
+        )
         q = generate.random_lg_model(cfg)
         w = generate.witness_of_construction(q, cfg)
         with report.lossless_digits():
@@ -178,7 +167,7 @@ def cmd_check(args):
     if not isinstance(data, list) or not all(isinstance(m, list) for m in data):
         raise ParseError(f"{args.monomials}: expected a JSON list of exponent vectors")
     monomials = [[report._int_from_cell(c, f"monomial {i}") for c in m] for i, m in enumerate(data)]
-    ok = phases.check_superpotential_invariance(cm, monomials)
+    ok = _usage(f"{args.monomials}: ", phases.check_superpotential_invariance, cm, monomials)
     payload = {"monomials": str(len(monomials)), "all_invariant": ok}
     table = f"checked {len(monomials)} monomials: " + ("all gauge invariant" if ok else "violation found")
     _emit(args, payload, table)

@@ -90,13 +90,14 @@ def _cone_coordinates(cm, support, s):
     """The ``x`` with ``Q[:, support] * x == s``, or ``None`` outside the image.
 
     The support columns are independent and span the image of ``Q``, so
-    ``x`` is unique when it exists.  Each system is solved once per
+    ``x`` is unique when it exists.  The latest solve is kept on the
     charge matrix: membership, the simplicial check and the lift of one
-    level share the solve.
+    level share it, and a new level replaces it, so the memo never grows.
     """
     key = (tuple(support), s)
     memo = cm._cone_solutions
     if key not in memo:
+        memo.clear()
         memo[key] = linalg.solve_exact(cm.matrix.select_columns(support), s)
     return memo[key]
 

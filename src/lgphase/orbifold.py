@@ -11,18 +11,20 @@ The image of ``Gamma`` in the diagonal torus is the lattice
 ``OrbifoldData.canonical_lattice``) canonicalizes the quotient presentation
 up to monomial isomorphism: coordinatewise ray rescaling (replace a
 coordinate by the power that makes its axis primitive in ``L``) followed by
-the lexicographically minimal Hermite form over coordinate permutations.  Two phases of one model always agree under this
-form; the image subgroups alone may differ, for instance a Z8 acting with
-weights (1,2,2,2) presents the same quotient as a Z4 with weights (1,1,1,1)
-after squaring the first coordinate.
+the lexicographically minimal Hermite form over coordinate permutations.
+Two phases of one model always agree under this form; the image subgroups
+alone may differ, for instance a Z8 acting with weights (1,2,2,2) presents
+the same quotient as a Z4 with weights (1,1,1,1) after squaring the first
+coordinate.
 
-Neither step searches blindly.  The rescaling of coordinate ``j`` is read
-off the last pivot of a Hermite form with column ``j`` moved last, which
-generates ``L``'s intersection with that axis; no divisors are enumerated.
-The permutation search skips arrangements that differ by a lattice
-automorphism: coordinates whose transposition fixes the lattice form
-blocks, and only distinct sequences of block labels are tried.  The form
-itself is the one a search over every permutation would return.
+Neither step searches blindly.  Every axis scale is read off one exact
+inverse: with ``H`` the Hermite basis of ``m0 * L``, ``k * e_j`` lies in
+``m0 * L`` exactly when ``k`` times row ``j`` of ``H^-1`` is integral,
+because ``x`` lies in it exactly when ``x * H^-1`` is.  The permutation
+search skips arrangements that differ by a lattice automorphism:
+coordinates whose transposition fixes the lattice form blocks, and only
+distinct sequences of block labels are tried.  The form itself is the one
+a search over every permutation would return.
 """
 
 from __future__ import annotations
@@ -48,18 +50,23 @@ __all__ = [
 class OrbifoldData:
     """Finite abelian quotient data for one phase.
 
-    ``invariant_factors`` ascend with ``d_1 | d_2 | ...``; row ``a`` of
-    ``action_exponents`` is reduced into ``[0, d_a)``; ``group_order`` is
-    the product of the factors; ``canonical_lattice`` is the output of
-    :func:`canonical_torus_action`; ``smith`` is the decomposition
-    ``D = U R V`` of the vev block that the factors come from.
+    ``smith`` is the decomposition ``D = U R V`` of the vev block; row
+    ``a`` of ``action_exponents`` is reduced into ``[0, d_a)``;
+    ``canonical_lattice`` is the output of :func:`canonical_torus_action`.
     """
 
-    invariant_factors: tuple
-    action_exponents: IntMatrix
-    group_order: int
-    canonical_lattice: IntMatrix
     smith: linalg.SmithDecomposition
+    action_exponents: IntMatrix
+    canonical_lattice: IntMatrix
+
+    @property
+    def invariant_factors(self):
+        """The Smith factors ``d_1 | d_2 | ...``, ascending."""
+        return self.smith.diagonal
+
+    @property
+    def group_order(self):
+        return prod(self.invariant_factors)
 
     @property
     def num_coords(self):
@@ -86,13 +93,7 @@ def orbifold_group(w):
         ncols=raw.ncols,
     )
     lattice = canonical_torus_action(exps.rows, factors, exps.ncols)
-    return OrbifoldData(
-        invariant_factors=factors,
-        action_exponents=exps,
-        group_order=prod(factors) if factors else 1,
-        canonical_lattice=lattice,
-        smith=snf,
-    )
+    return OrbifoldData(smith=snf, action_exponents=exps, canonical_lattice=lattice)
 
 
 def effective_factors(od):
@@ -128,17 +129,6 @@ def _hnf_contains(hnf, vec):
         if q:
             v = [a - q * b for a, b in zip(v, row)]
     return not any(v)
-
-
-def _stacked_lattice(rows, orders, n, scale_num, col_scale):
-    """Hermite basis of ``scale_num * diag(col_scale) * (Z^n + sum Z row_a/d_a)``."""
-    gens = []
-    for row, d in zip(rows, orders):
-        f = scale_num // d
-        gens.append(tuple(f * c * e for c, e in zip(col_scale, row)))
-    for i in range(n):
-        gens.append(tuple(scale_num * col_scale[i] if j == i else 0 for j in range(n)))
-    return linalg.hermite_normal_form(IntMatrix(gens, ncols=n))
 
 
 def _swap_fixes(hnf, i, j):
@@ -206,10 +196,13 @@ def canonical_torus_action(rows, orders, num_coords):
     normalized in three steps:
 
     1. Make every coordinate axis primitive in ``L`` by rescaling that
-       coordinate.  With ``m0 = lcm(d_a)``, the Hermite form of ``m0 * L``
-       with column ``j`` moved last ends in the pivot ``k_j`` that generates
-       the lattice's intersection with axis ``j``; ``k_j`` divides ``m0``
-       and coordinate ``j`` is scaled by ``m0 / k_j``.
+       coordinate.  With ``m0 = lcm(d_a)`` and ``H`` the Hermite basis of
+       ``m0 * L``, ``x`` lies in ``m0 * L`` exactly when ``x * H^-1`` is
+       integral, so the least ``k_j`` with ``k_j * e_j`` in it is the lcm
+       of the denominators of row ``j`` of ``H^-1``.  ``k_j`` divides
+       ``m0``, coordinate ``j`` is scaled by ``m0 / k_j``, and the Hermite
+       form of ``H`` with its columns so scaled is ``m0`` times the
+       rescaled lattice.
     2. Clear denominators with the exponent ``m`` of the rescaled lattice.
     3. Take the lexicographically minimal Hermite form over coordinate
        permutations.  Coordinates can only trade places when their
@@ -220,26 +213,27 @@ def canonical_torus_action(rows, orders, num_coords):
        McKay & Piperno, 2014).  The minimum is the same as over every
        permutation; a class with no such swaps still costs ``k!`` forms.
     """
-    rows = [tuple(int(e) for e in row) for row in rows]
-    orders = [int(d) for d in orders]
-    n = num_coords
+    rows = [tuple(linalg._check_int(e) for e in row) for row in rows]
+    orders = [linalg._check_int(d) for d in orders]
+    n = linalg._check_int(num_coords)
     if any(d <= 0 for d in orders) or len(rows) != len(orders):
         raise ValueError("need one positive order per exponent row")
     if any(len(row) != n for row in rows):
         raise ValueError(f"exponent rows must have length {n}")
     if n == 0:
         return IntMatrix((), ncols=0)
-    m0 = lcm(*orders) if orders else 1
+    m0 = lcm(*orders)
     if m0 == 1:
         return IntMatrix.identity(n)
-    h0 = _stacked_lattice(rows, orders, n, m0, [1] * n)
-    # largest c with e_j / c in L: the last pivot with column j moved last
-    scale = []
-    for j in range(n):
-        order = [i for i in range(n) if i != j] + [j]
-        hj = linalg.hermite_normal_form(h0.select_columns(order))
-        scale.append(m0 // hj.rows[-1][-1])
-    h1 = _stacked_lattice(rows, orders, n, m0, scale)
+    gens = [tuple(m0 // d * e for e in row) for row, d in zip(rows, orders)]
+    gens += [tuple(m0 if j == i else 0 for j in range(n)) for i in range(n)]
+    h0 = linalg.hermite_normal_form(IntMatrix(gens, ncols=n))
+    # k * e_j lies in m0 * L exactly when k * (row j of h0^-1) is integral
+    inv = linalg.invert_rational(h0)
+    scale = [m0 // lcm(*(e.denominator for e in row)) for row in inv.rows]
+    h1 = linalg.hermite_normal_form(
+        IntMatrix(tuple(tuple(c * e for c, e in zip(scale, row)) for row in h0.rows), ncols=n)
+    )
     g = m0
     for row in h1.rows:
         g = gcd(g, *row)

@@ -72,7 +72,7 @@ class ChargeMatrix:
 
     @cached_property
     def _cone_solutions(self):
-        """Cone coordinates solved so far, keyed by ``(support, level)``; see :mod:`lgphase.cones`."""
+        """The latest cone-coordinate solve, keyed by ``(support, level)``; see :mod:`lgphase.cones`."""
         return {}
 
 
@@ -268,7 +268,7 @@ def check_superpotential_invariance(cm, monomials):
     """
     rows = cm.matrix.rows
     for m in monomials:
-        vec = tuple(int(e) for e in m)
+        vec = tuple(linalg._check_int(e) for e in m)
         if len(vec) != cm.num_fields:
             raise DimensionMismatch(
                 f"monomial length {len(vec)} does not match {cm.num_fields} fields"

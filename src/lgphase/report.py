@@ -213,6 +213,23 @@ def _matrix_lines(rows, indent="    "):
     return out
 
 
+def _orbifold_lines(section, indent):
+    """Table lines of one :func:`_orbifold_section` (``None`` when rank deficient)."""
+    if section is None:
+        return [indent + "orbifold: unavailable (rank-deficient gauge group)"]
+    eff = section["effective_factors"]
+    group = " x ".join(f"Z{d}" for d in eff) if eff else "trivial"
+    return [
+        f"{indent}orbifold group: {group} "
+        f"(invariant factors {', '.join(section['invariant_factors']) or '-'}; "
+        f"order {section['group_order']})",
+        indent + "action exponents (row a modulo factor a):",
+        *_matrix_lines(section["action_exponents"]),
+        indent + "canonical action lattice:",
+        *_matrix_lines(section["canonical_lattice"]),
+    ]
+
+
 def render_phase_table(report):
     """Human-readable rendering of :func:`build_phase_report` output.
 
@@ -236,21 +253,7 @@ def render_phase_table(report):
         lines.append(f"  cone generators{basis}:")
         lines.extend(_matrix_lines(cone["generators"]))
         lines.append(f"  interior sample: {', '.join(cone['interior_sample'])}")
-        od = entry["orbifold"]
-        if od is None:
-            lines.append("  orbifold: unavailable (rank-deficient gauge group)")
-        else:
-            eff = od["effective_factors"]
-            group = " x ".join(f"Z{d}" for d in eff) if eff else "trivial"
-            lines.append(
-                f"  orbifold group: {group} "
-                f"(invariant factors {', '.join(od['invariant_factors']) or '-'}; "
-                f"order {od['group_order']})"
-            )
-            lines.append("  action exponents (row a modulo factor a):")
-            lines.extend(_matrix_lines(od["action_exponents"]))
-            lines.append("  canonical action lattice:")
-            lines.extend(_matrix_lines(od["canonical_lattice"]))
+        lines.extend(_orbifold_lines(entry["orbifold"], "  "))
     eq = report["cross_phase"]["all_actions_equivalent"]
     shown = "n/a" if eq is None else ("yes" if eq else "no")
     lines.append(f"cross-phase: all actions equivalent: {shown}")

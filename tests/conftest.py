@@ -12,10 +12,13 @@ took before its lattice pass ran on the fraction-free tableau, a second
 algorithm that shares no code with that pass.  ``torus_subgroup_lattice``
 is no oracle but an encoding of torus subgroups, built on the package's
 Hermite form, that the orbifold tests compare actions with.
+``brute_canonical_torus_action`` finds the axis scales by a divisor scan
+and tries every permutation inside each class; it shares only the
+general Hermite form with ``canonical_torus_action``.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from lgphase import IntMatrix, RatMatrix, candidate_columns, hermite_normal_form
@@ -199,6 +202,60 @@ def torus_subgroup_lattice(rows, orders, num_coords):
     if g == 1:
         return m0, h0
     return m0 // g, IntMatrix(tuple(tuple(e // g for e in row) for row in h0.rows), ncols=n)
+
+
+def _divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.extend({d, n // d})
+        d += 1
+    return sorted(out)
+
+
+def _hnf_contains(hnf, vec):
+    v = list(vec)
+    for row in hnf.rows:
+        p = next(j for j, e in enumerate(row) if e)
+        if v[p] % row[p]:
+            return False
+        q = v[p] // row[p]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def _stacked(rows, orders, n, m0, col_scale):
+    gens = [tuple(m0 // d * c * e for c, e in zip(col_scale, row)) for row, d in zip(rows, orders)]
+    gens += [tuple(m0 * col_scale[i] if j == i else 0 for j in range(n)) for i in range(n)]
+    return hermite_normal_form(IntMatrix(gens, ncols=n))
+
+
+def brute_canonical_torus_action(rows, orders, n):
+    """Oracle for ``canonical_torus_action``: axis scales by a divisor scan,
+    then the minimum Hermite form over every permutation inside each class."""
+    m0 = lcm(*orders)
+    if m0 == 1:
+        return IntMatrix.identity(n)
+    h0 = _stacked(rows, orders, n, m0, [1] * n)
+    scale = [
+        m0 // next(k for k in _divisors(m0)
+                   if _hnf_contains(h0, [k if i == j else 0 for i in range(n)]))
+        for j in range(n)
+    ]
+    h1 = _stacked(rows, orders, n, m0, scale)
+    g = gcd(m0, *(e for row in h1.rows for e in row))
+    m = m0 // g
+    if m == 1:
+        return IntMatrix.identity(n)
+    base = [[e // g for e in row] for row in h1.rows]
+    proj = [m // gcd(m, *(row[j] for row in base)) for j in range(n)]
+    classes = [[j for j in range(n) if proj[j] == o] for o in sorted(set(proj), reverse=True)]
+    best = min(
+        hermite_normal_form(IntMatrix([[row[j] for group in arr for j in group] for row in base])).rows
+        for arr in product(*(permutations(c) for c in classes))
+    )
+    return IntMatrix(best, ncols=n)
 
 
 def cokernel_order_bruteforce(m):

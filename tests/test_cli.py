@@ -204,10 +204,18 @@ class TestErrorPaths:
         assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize("option", ["--r=0", "--n=-1", "--entry-bound=0",
-                                        "--sample-bound=0", "--pad=-1"])
+                                        "--sample-bound=0", "--pad=-1", "--count=-3"])
     def test_out_of_range_generator_option_exit_two(self, capsys, option):
         # the later of two equal options wins
         assert_usage_error(capsys, ["generate", "--r", "1", "--n", "2", option])
+
+    def test_zero_count_prints_nothing(self, capsys):
+        assert run(capsys, ["generate", "--r", "1", "--n", "2", "--count", "0"]) == (0, "")
+
+    def test_negative_monomial_exponent_exit_two(self, capsys, tmp_path):
+        mono = tmp_path / "f.json"
+        mono.write_text("[[-1,0,0]]")
+        assert_usage_error(capsys, ["check", "[[1,1,-2]]", "--monomials", str(mono)])
 
     def test_matrix_file_not_utf8_exit_two(self, capsys, tmp_path):
         path = tmp_path / "q.json"
@@ -267,6 +275,17 @@ class TestOrbifoldCommand:
             ["1", "1", "1", "1"], ["0", "4", "0", "0"],
             ["0", "0", "4", "0"], ["0", "0", "0", "4"],
         ]
+
+    def test_table_shares_phase_table_lines(self, capsys, twolg_file):
+        code, out = run(capsys, ["orbifold", twolg_file, "--chosen", "4,5", "--table"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "chosen columns: 4, 5",
+            "orbifold group: Z8 (invariant factors 1, 8; order 8)",
+        ]
+        _, phase_table = run(capsys, ["phases", twolg_file, "--table"])
+        assert "\n".join("  " + ln if ln[0] != " " else ln for ln in lines[1:]) in phase_table
 
     def test_smith_factors_multiply_back(self, capsys, twolg_file):
         code, out = run(capsys, ["orbifold", twolg_file, "--chosen", "4,5", "--json"])

@@ -232,6 +232,13 @@ class TestMembership:
                 )
                 assert is_in_phase_cone(w, s) == INTERIOR
 
+    def test_cone_solution_memo_keeps_latest_level(self):
+        w = twolg_witness((4, 5))
+        cm = w.charge
+        for k in range(1, 2001):
+            assert is_in_phase_cone(w, (-k - 1, -k)) == INTERIOR
+        assert list(cm._cone_solutions) == [((4, 5), (Fraction(-2001), Fraction(-2000)))]
+
     def test_disjoint_interiors(self):
         w1 = twolg_witness((0, 5))
         w2 = twolg_witness((4, 5))

@@ -1,12 +1,16 @@
 """Residual group data: pinned models, oracles, and presentation invariance."""
 
 import random
-from itertools import permutations, product
-from math import gcd, lcm
 
 import pytest
 
-from conftest import cokernel_order_bruteforce, rand_matrix, random_nonsingular, torus_subgroup_lattice
+from conftest import (
+    brute_canonical_torus_action,
+    cokernel_order_bruteforce,
+    rand_matrix,
+    random_nonsingular,
+    torus_subgroup_lattice,
+)
 from lgphase import (
     DimensionMismatch,
     IntMatrix,
@@ -17,7 +21,6 @@ from lgphase import (
     determinant,
     effective_factors,
     enumerate_phases,
-    hermite_normal_form,
     make_charge_matrix,
     orbifold_group,
 )
@@ -29,63 +32,6 @@ RWP4 = [[0, 0, 1, 1, 1, 1, -4], [1, 1, 0, 0, 0, -2, 0]]
 
 def witness(rows, chosen):
     return check_witness(make_charge_matrix(rows), chosen)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle for canonical_torus_action: the axis rescaling by a
-# divisor scan and the minimum over every permutation inside each class
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend({d, n // d})
-        d += 1
-    return sorted(out)
-
-
-def _contains(hnf, vec):
-    v = list(vec)
-    for row in hnf.rows:
-        p = next(j for j, e in enumerate(row) if e)
-        if v[p] % row[p]:
-            return False
-        q = v[p] // row[p]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-def _stacked(rows, orders, n, m0, col_scale):
-    gens = [tuple(m0 // d * c * e for c, e in zip(col_scale, row)) for row, d in zip(rows, orders)]
-    gens += [tuple(m0 * col_scale[i] if j == i else 0 for j in range(n)) for i in range(n)]
-    return hermite_normal_form(IntMatrix(gens, ncols=n))
-
-
-def brute_canonical_torus_action(rows, orders, n):
-    m0 = lcm(*orders)
-    if m0 == 1:
-        return IntMatrix.identity(n)
-    h0 = _stacked(rows, orders, n, m0, [1] * n)
-    scale = [
-        m0 // next(k for k in _divisors(m0)
-                   if _contains(h0, [k if i == j else 0 for i in range(n)]))
-        for j in range(n)
-    ]
-    h1 = _stacked(rows, orders, n, m0, scale)
-    g = gcd(m0, *(e for row in h1.rows for e in row))
-    m = m0 // g
-    if m == 1:
-        return IntMatrix.identity(n)
-    base = [[e // g for e in row] for row in h1.rows]
-    proj = [m // gcd(m, *(row[j] for row in base)) for j in range(n)]
-    classes = [[j for j in range(n) if proj[j] == o] for o in sorted(set(proj), reverse=True)]
-    best = min(
-        hermite_normal_form(IntMatrix([[row[j] for group in arr for j in group] for row in base])).rows
-        for arr in product(*(permutations(c) for c in classes))
-    )
-    return IntMatrix(best, ncols=n)
 
 
 class TestOrbifoldGroup:
@@ -271,6 +217,18 @@ class TestCanonicalTorusAction:
         assert canonical_torus_action([], [], 3) == IntMatrix.identity(3)
         assert canonical_torus_action([(0, 0)], [1], 2) == IntMatrix.identity(2)
 
+    @pytest.mark.parametrize("rows, orders, n", [
+        ([(1, 1.9)], [4], 2),  # int() would read weights (1, 1)
+        ([(1, 1)], [4.5], 2),  # and order 4
+        ([(1, 1)], [4.0], 2),
+        ([(True, 1)], [4], 2),
+        ([(1, 1)], [True], 2),
+        ([(1, 1)], [4], 2.0),
+    ])
+    def test_float_and_bool_entries_rejected(self, rows, orders, n):
+        with pytest.raises(TypeError):
+            canonical_torus_action(rows, orders, n)
+
 
 class TestPresentationInvariance:
     """The group data must not depend on which diagonalization was found."""
@@ -315,7 +273,11 @@ class TestPresentationInvariance:
 
 
 class TestCanonicalFormOracle:
-    """The pruned search returns the brute-force minimum, in few Hermite forms."""
+    """The pruned search returns the brute-force minimum, in few Hermite forms.
+
+    Each action takes one inverse and two Hermite forms for its axis scales,
+    then one Hermite form per arrangement searched.
+    """
 
     def test_matches_brute_force(self):
         rng = random.Random(131)
@@ -331,23 +293,21 @@ class TestCanonicalFormOracle:
                 brute_canonical_torus_action(rows, orders, n)
 
     @pytest.mark.parametrize(
-        "rows, orders, n, cap",
+        "rows, orders, n, forms",
         [
-            ([(1,) * 10], [10], 10, 60),  # K over P^9: one block of ten
-            ([(1, 1)], [10**20 + 39], 2, 60),  # Z_D past trial division
+            ([(1,) * 10], [10], 10, 3),  # K over P^9: one block of ten
+            ([(1, 1)], [10**20 + 39], 2, 3),  # Z_D past trial division
             # K over P^3 x P^3: two blocks in one class, C(8, 4) arrangements
-            ([(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)], [4, 4], 8, 100),
+            ([(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)], [4, 4], 8, 72),
         ],
     )
-    def test_hermite_calls_capped(self, monkeypatch, rows, orders, n, cap):
-        calls = []
-        hnf = linalg.hermite_normal_form
-
-        def counted(m):
-            calls.append(m)
-            return hnf(m)
-
-        monkeypatch.setattr(linalg, "hermite_normal_form", counted)
+    def test_hermite_calls_capped(self, monkeypatch, rows, orders, n, forms):
+        calls = {"hermite_normal_form": 0, "invert_rational": 0}
+        for name in calls:
+            def counted(m, _fn=getattr(linalg, name), _name=name):
+                calls[_name] += 1
+                return _fn(m)
+            monkeypatch.setattr(linalg, name, counted)
         lattice = canonical_torus_action(rows, orders, n)
-        assert len(calls) <= cap
+        assert calls == {"hermite_normal_form": forms, "invert_rational": 1}
         assert lattice.shape == (n, n)

@@ -270,3 +270,10 @@ class TestSuperpotential:
         with pytest.raises(ValueError):
             check_superpotential_invariance(cm, [(-1, 0, 0, 0, 0, 0)])
 
+    @pytest.mark.parametrize("monomial", [(2.7, 0, 1), (2.0, 0, 1), (True, True, 1)])
+    def test_float_and_bool_exponents_rejected(self, monomial):
+        # exponents follow the rule for matrix entries; int() would read
+        # (2.7, 0, 1) as the invariant (2, 0, 1)
+        with pytest.raises(TypeError):
+            check_superpotential_invariance(make_charge_matrix([[1, 1, -2]]), [monomial])
+
