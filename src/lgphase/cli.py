@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 
 from . import cones, generate, orbifold, phases, report
-from .errors import LgPhaseError, ParseError
+from .errors import DimensionMismatch, LgPhaseError, ParseError
 
 __all__ = [
     "main",
@@ -50,10 +50,11 @@ def _read_matrix_argument(spec):
 
 
 def _usage(label, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``; its ``ValueError``, a malformed argument, is a :class:`ParseError`."""
+    """``fn(*args, **kwargs)``; its ``ValueError`` or :class:`DimensionMismatch`, a
+    malformed argument, is a :class:`ParseError`."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as e:
+    except (ValueError, DimensionMismatch) as e:
         raise ParseError(f"{label}{e}") from None
 
 
@@ -77,16 +78,11 @@ def cmd_orbifold(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
     w = _usage("--chosen: ", phases.check_witness, cm, report.parse_index_list(args.chosen))
     od = orbifold.orbifold_group(w)
-    with report.lossless_digits():
-        payload = {
-            "chosen": [str(j) for j in w.chosen],
-            "smith": {
-                "u": report.report_matrix(od.smith.u),
-                "d": report.report_matrix(od.smith.d),
-                "v": report.report_matrix(od.smith.v),
-            },
-            **report._orbifold_section(od),
-        }
+    payload = report.stringify({
+        "chosen": w.chosen,
+        "smith": {"u": od.smith.u, "d": od.smith.d, "v": od.smith.v},
+        **report._orbifold_section(od),
+    })
     lines = [f"chosen columns: {', '.join(payload['chosen'])}", *report._orbifold_lines(payload, "")]
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -97,34 +93,30 @@ def cmd_polytope(args):
     chosen = report.parse_index_list(args.chosen)
     level = report.parse_level(args.level)
     w = _usage("--chosen: ", phases.check_witness, cm, chosen)
-    membership = cones.is_in_phase_cone(w, level)
+    membership = _usage("--level: ", cones.is_in_phase_cone, w, level)
     simplicial = spaces = lift = None
     if membership == cones.INTERIOR:
         simplicial = cones.verify_simplicial_cone(w, level)
         poly = cones.moment_polyhedron(cm, level, w)
-        with report.lossless_digits():
-            spaces = [
-                {"normal": [str(e) for e in hs.normal], "offset": str(hs.offset)}
-                for hs in poly.half_spaces
-            ]
-            lift = [str(e) for e in poly.lift]
-    payload = {
-        "chosen": [str(j) for j in w.chosen],
-        "level": [str(x) for x in level],
+        lift = poly.lift
+        spaces = [hs._asdict() for hs in poly.half_spaces]
+    payload = report.stringify({
+        "chosen": w.chosen,
+        "level": level,
         "membership": membership,
         "lift": lift,
         "half_spaces": spaces,
         "simplicial": simplicial,
-    }
+    })
     lines = [
         f"chosen columns: {', '.join(payload['chosen'])}",
         f"level: {', '.join(payload['level'])}",
         f"membership: {membership}",
     ]
     if spaces is not None:
-        lines.append(f"lift: {', '.join(lift)}")
+        lines.append(f"lift: {', '.join(payload['lift'])}")
         lines.append("half-spaces (normal | offset):")
-        for hs in spaces:
+        for hs in payload["half_spaces"]:
             lines.append("    " + "  ".join(hs["normal"]) + "  |  " + hs["offset"])
         lines.append(f"simplicial cone: {'yes' if simplicial else 'no'}")
     else:
@@ -150,14 +142,10 @@ def cmd_generate(args):
         )
         q = generate.random_lg_model(cfg)
         w = generate.witness_of_construction(q, cfg)
-        with report.lossless_digits():
-            payload = {
-                "config": {key: str(value) for key, value in asdict(cfg).items()},
-                "Q": report.report_matrix(q),
-                "witness": [str(j) for j in w.chosen],
-            }
+        # the flag prints as the string "False" or "True", like every other config value
+        config = {**asdict(cfg), "allow_zero_columns": str(cfg.allow_zero_columns)}
         if not args.quiet:
-            print(json.dumps(payload))
+            print(json.dumps(report.stringify({"config": config, "Q": q, "witness": w.chosen})))
     return 0
 
 
@@ -168,9 +156,9 @@ def cmd_check(args):
         raise ParseError(f"{args.monomials}: expected a JSON list of exponent vectors")
     monomials = [[report._int_from_cell(c, f"monomial {i}") for c in m] for i, m in enumerate(data)]
     ok = _usage(f"{args.monomials}: ", phases.check_superpotential_invariance, cm, monomials)
-    payload = {"monomials": str(len(monomials)), "all_invariant": ok}
-    table = f"checked {len(monomials)} monomials: " + ("all gauge invariant" if ok else "violation found")
-    _emit(args, payload, table)
+    payload = report.stringify({"monomials": len(monomials), "all_invariant": ok})
+    verdict = "all gauge invariant" if ok else "violation found"
+    _emit(args, payload, f"checked {payload['monomials']} monomials: {verdict}")
     return 0 if ok else 1
 
 

@@ -114,7 +114,7 @@ def lift_level(cm, s, witness=None):
     support = cm.pivot_columns if witness is None else witness.chosen
     coeffs = _cone_coordinates(cm, support, s)
     if coeffs is None:
-        raise LevelNotInImage(f"level {s!r} is not in the image of the charge matrix")
+        raise LevelNotInImage("level is not in the image of the charge matrix")
     lift = [Fraction(0)] * cm.num_fields
     for j, c in zip(support, coeffs):
         lift[j] = c
@@ -162,7 +162,7 @@ def verify_simplicial_cone(w, s):
     as a bool; a singular coordinate block refutes simpliciality.
     """
     if is_in_phase_cone(w, s) != INTERIOR:
-        raise NotInterior(f"level {tuple(s)!r} is not interior to the phase cone")
+        raise NotInterior("level is not interior to the phase cone")
     cm = w.charge
     coords = w.coord_columns
     n = len(coords)

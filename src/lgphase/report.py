@@ -1,13 +1,13 @@
 """Report assembly and lossless serialization for the command line.
 
-Every numeric leaf is serialized as a decimal string (``"p/q"`` for
+:func:`stringify` is the one number-to-text conversion of every payload:
+each ``int`` and ``Fraction`` becomes a decimal string (``"p/q"`` for
 rationals), so arbitrarily large values survive a JSON round trip in any
 consumer.  Parsing accepts the same forms back.
 
 Output is lossless: the interpreter's digit limit for ``int`` <-> ``str``
-conversion is lifted while output strings are built (see
-:func:`lossless_digits`) and restored afterwards, so parsing still refuses
-oversized input.
+conversion is lifted for the whole conversion (see :func:`lossless_digits`)
+and restored afterwards, so parsing still refuses oversized input.
 """
 
 from __future__ import annotations
@@ -28,12 +28,19 @@ __all__ = [
     "parse_index_list",
     "parse_level",
     "build_phase_report",
-    "report_matrix",
+    "stringify",
     "render_phase_table",
     "lossless_digits",
 ]
 
 WARN_RANK_DEFICIENT = "rank_deficient_gauge_group"
+# CPython's default digit limit; levels are held to it when the interpreter sets none
+_FALLBACK_DIGIT_LIMIT = 4300
+
+
+def _digit_limit():
+    """The interpreter's digit limit for ``int`` <-> ``str``; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @contextlib.contextmanager
@@ -43,7 +50,7 @@ def lossless_digits():
     The limit is interpreter-wide, so another thread parsing meanwhile
     would see it lifted too.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
@@ -77,6 +84,8 @@ def _matrix_from_rows(rows, source):
     widths = {len(r) for r in out}
     if len(widths) != 1:
         raise ParseError(f"{source}: rows have unequal lengths {sorted(widths)}")
+    if not out[0]:
+        raise ParseError(f"{source}: rows are empty")
     return IntMatrix(out)
 
 
@@ -128,33 +137,67 @@ def parse_index_list(text):
 
 
 def parse_level(text):
-    """Comma-separated rational level, e.g. ``"1,-3/2"``."""
-    try:
-        return tuple(Fraction(p.strip()) for p in text.split(",") if p.strip() != "")
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad level {text!r}") from None
+    """Comma-separated rational level, e.g. ``"1,-3/2"`` or ``"2.5e3"``.
+
+    Entries are held to the interpreter's digit limit for integer text
+    (4300 digits when the interpreter sets none): an entry whose numerator
+    or denominator has more digits is refused.  A decimal exponent larger
+    in size than the limit is refused from the text alone, before the
+    power of ten is computed, so a short entry cannot stall the parse.
+    """
+    limit = _digit_limit() or _FALLBACK_DIGIT_LIMIT
+    too_long = ParseError(f"bad level {text!r}: an entry exceeds the digit limit")
+    level = []
+    for p in (p.strip() for p in text.split(",")):
+        if not p:
+            continue
+        try:
+            exponent = p.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > limit:
+                raise too_long
+            x = Fraction(p)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad level {text!r}") from None
+        big = max(abs(x.numerator), x.denominator)
+        # below 8**limit, no power of ten is needed to show it is under 10**limit
+        if big.bit_length() > 3 * limit and big >= 10**limit:
+            raise too_long
+        level.append(x)
+    return tuple(level)
 
 
-def report_matrix(m):
-    """Matrix to JSON-ready rows of strings."""
-    return [[str(e) for e in row] for row in m.rows]
+def stringify(value):
+    """``value`` with every ``int`` and ``Fraction`` as a decimal string, ready for JSON.
+
+    Matrices become lists of row lists, tuples become lists and dicts keep
+    their keys; ``str``, ``bool`` and ``None`` pass through.  The digit
+    limit is lifted for the whole conversion.
+    """
+    with lossless_digits():
+        return _text(value)
 
 
-def _report_vector(v):
-    return [str(e) for e in v]
+def _text(value):
+    # exact types: the most common leaf is tested first, and a bool is not a number here
+    if type(value) in (int, Fraction):
+        return str(value)
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, dict):
+        return {key: _text(v) for key, v in value.items()}
+    return [_text(v) for v in value]
 
 
 def _orbifold_section(od):
     return {
-        "invariant_factors": _report_vector(od.invariant_factors),
-        "effective_factors": _report_vector(orbifold.effective_factors(od)),
-        "group_order": str(od.group_order),
-        "action_exponents": report_matrix(od.action_exponents),
-        "canonical_lattice": report_matrix(od.canonical_lattice),
+        "invariant_factors": od.invariant_factors,
+        "effective_factors": orbifold.effective_factors(od),
+        "group_order": od.group_order,
+        "action_exponents": od.action_exponents,
+        "canonical_lattice": od.canonical_lattice,
     }
 
 
-@lossless_digits()
 def build_phase_report(cm, prune=True):
     """Full phase analysis of a charge matrix as a JSON-ready dict."""
     witnesses = phases.enumerate_phases(cm, prune=prune)
@@ -165,14 +208,14 @@ def build_phase_report(cm, prune=True):
     for w in witnesses:
         cone = cones.phase_cone(w)
         entry = {
-            "chosen": _report_vector(w.chosen),
-            "vev_fields": _report_vector(w.chosen),
-            "lg_fields": _report_vector(w.coord_columns),
-            "vev_block": report_matrix(w.vev_block),
-            "row_reduced": report_matrix(w.row_reduced),
+            "chosen": w.chosen,
+            "vev_fields": w.chosen,
+            "lg_fields": w.coord_columns,
+            "vev_block": w.vev_block,
+            "row_reduced": w.row_reduced,
             "cone": {
-                "generators": report_matrix(cone.generators),
-                "interior_sample": _report_vector(cone.interior_sample),
+                "generators": cone.generators,
+                "interior_sample": cone.interior_sample,
                 "reduced_basis": cone.reduced_basis,
             },
         }
@@ -189,18 +232,18 @@ def build_phase_report(cm, prune=True):
         ) if actions else True
     else:
         equivalent = None
-    return {
+    return stringify({
         "input": {
-            "Q": report_matrix(cm.matrix),
-            "gauge_factors": str(cm.rho),
-            "fields": str(cm.num_fields),
-            "rank": str(cm.rank),
+            "Q": cm.matrix,
+            "gauge_factors": cm.rho,
+            "fields": cm.num_fields,
+            "rank": cm.rank,
         },
-        "reduced": report_matrix(cm.reduced),
+        "reduced": cm.reduced,
         "warnings": warnings,
         "phases": phase_entries,
         "cross_phase": {"all_actions_equivalent": equivalent},
-    }
+    })
 
 
 def _matrix_lines(rows, indent="    "):
@@ -214,7 +257,7 @@ def _matrix_lines(rows, indent="    "):
 
 
 def _orbifold_lines(section, indent):
-    """Table lines of one :func:`_orbifold_section` (``None`` when rank deficient)."""
+    """Table lines of one stringified :func:`_orbifold_section` (``None`` when rank deficient)."""
     if section is None:
         return [indent + "orbifold: unavailable (rank-deficient gauge group)"]
     eff = section["effective_factors"]

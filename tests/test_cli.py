@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,64 @@ class TestErrorPaths:
         code = main(["phases", f"[[1, 1, -{'9' * (limit + 1)}]]"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: inline matrix:")
+
+    @pytest.mark.parametrize("argv", [
+        ["orbifold", "--chosen=1,2"],
+        ["orbifold", "--chosen=1,2", "--table"],
+        ["polytope", "--chosen=1,2", "--level=-1,-1"],
+        ["polytope", "--chosen=1,2", "--level=-1,-1", "--table"],
+        ["polytope", "--chosen=1,2", "--level=-1,-1", "--quiet"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_long_orbifold_and_polytope_values_are_lossless(self, capsys, argv):
+        # 4001-digit charges; the group order and a kernel entry are their
+        # 8001-digit product
+        a, b = 10**4000 + 1, 10**4000 + 3
+        text = json.dumps([[1, -a, 0], [1, 0, -b]])
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, [argv[0], text, *argv[1:]])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        if "--quiet" in argv:
+            assert out == ""
+            return
+        with lossless_digits():
+            if "--table" in argv:
+                assert str(a * b) in out
+            elif argv[0] == "orbifold":
+                rep = json.loads(out)
+                assert [int(e) for e in rep["invariant_factors"]] == [1, a * b]
+                assert int(rep["group_order"]) == a * b
+            else:
+                rep = json.loads(out)
+                assert [int(hs["normal"][0]) for hs in rep["half_spaces"]] == [a * b, b, a]
+                assert [Fraction(x) for x in rep["lift"]] == [0, Fraction(1, a), Fraction(1, b)]
+
+    def test_long_generate_values_are_lossless(self, capsys):
+        # the second model's seed echo has one digit more than the limit
+        limit = sys.get_int_max_str_digits()
+        seed = 10**limit - 1
+        code, out = run(capsys, ["generate", "--r", "1", "--n", "2", f"--seed={seed}", "--count", "2"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        with lossless_digits():
+            seeds = [int(json.loads(ln)["config"]["seed"]) for ln in out.splitlines()]
+        assert seeds == [seed, seed + 1]
+
+    @pytest.mark.parametrize("level", ["1e5000", "-1e5000", "1e-5000", "2.5e4400",
+                                       "-1e10000000", "1,2"])
+    def test_malformed_level_exit_two(self, capsys, level):
+        # past the digit limit (refused before any power of ten is taken),
+        # or of the wrong length
+        assert_usage_error(capsys, ["polytope", "[[1,1,-2]]", "--chosen", "2", f"--level={level}"])
+
+    def test_wrong_length_monomial_exit_two(self, capsys, tmp_path):
+        mono = tmp_path / "f.json"
+        mono.write_text("[[1,0]]")
+        assert_usage_error(capsys, ["check", "[[1,1,-2]]", "--monomials", str(mono)])
+
+    @pytest.mark.parametrize("matrix", ["[[]]", '{"Q": [[]]}', "[[], []]"])
+    def test_zero_width_rows_exit_two(self, capsys, matrix):
+        assert_usage_error(capsys, ["phases", matrix])
 
     def test_unknown_subcommand_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2

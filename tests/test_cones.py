@@ -63,6 +63,12 @@ class TestLiftLevel:
         with pytest.raises(LevelNotInImage):
             lift_level(cm, (0, 1))
 
+    def test_level_outside_image_past_digit_limit(self):
+        # the error carries no level, so no entry has to be printed
+        cm = make_charge_matrix([[1, 1, -2], [2, 2, -4]])
+        with pytest.raises(LevelNotInImage):
+            lift_level(cm, (1, 10**5000))
+
     def test_wrong_length(self):
         cm = make_charge_matrix(TWOLG)
         with pytest.raises(DimensionMismatch):
@@ -296,6 +302,11 @@ class TestVerifySimplicial:
             verify_simplicial_cone(w, (1, -2))
         with pytest.raises(NotInterior):
             verify_simplicial_cone(w, (0, 1))
+
+    def test_non_interior_level_past_digit_limit(self):
+        w = twolg_witness((4, 5))
+        with pytest.raises(NotInterior):
+            verify_simplicial_cone(w, (-10**5000, 1))
 
     def test_no_coordinates_is_trivially_compact(self):
         cm = make_charge_matrix([[1, 0], [0, 1]])

@@ -1,8 +1,9 @@
 """Property tests of the canonical orbifold action; skipped when hypothesis is absent.
 
 The canonical lattice names a quotient of ``C^n`` up to monomial
-isomorphism, so it must not move when the coordinates are permuted or the
-same subgroup of the torus is given by other generators.
+isomorphism, so it must not move when the coordinates are permuted, when
+the same subgroup of the torus is given by other generators, or when a
+coordinate is replaced by a power that keeps the quotient.
 """
 
 from math import gcd, lcm
@@ -95,4 +96,23 @@ def test_redundant_generator_appended(action, data):
              for j in range(n)]
     other = ([*rows, extra], [*orders, m0], n)
     assert same_subgroup(other, action)
+    assert canonical(other) == canonical(action) == brute_canonical_torus_action(*action)
+
+
+@SETTINGS
+@given(actions(), st.data())
+def test_coordinate_rescaling(action, data):
+    # M, the preimage of L under multiplying coordinate j by k, holds Z_k on
+    # coordinate j alone, so C^n / M == C^n / L through w_j = z_j^k.  M is
+    # generated by e_j / k and by each row / d with its other coordinates
+    # multiplied by k, over the order k * d.
+    rows, orders, n = action
+    j = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(2, 4))
+    new_rows = [[e if i == j else k * e for i, e in enumerate(row)] for row in rows]
+    new_rows.append([int(i == j) for i in range(n)])
+    new_orders = [k * d for d in orders] + [k]
+    other = (new_rows, new_orders, n)
+    back = ([[k * e if i == j else e for i, e in enumerate(row)] for row in new_rows], new_orders, n)
+    assert same_subgroup(back, action)
     assert canonical(other) == canonical(action) == brute_canonical_torus_action(*action)

@@ -1,5 +1,6 @@
 """Input parsing and report assembly."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from lgphase import (
     parse_level,
     render_phase_table,
 )
+from lgphase.report import stringify
 
 
 class TestParsing:
@@ -61,6 +63,21 @@ class TestParsing:
         assert parse_level("-3/2") == (Fraction(-3, 2),)
         with pytest.raises(ParseError):
             parse_level("1/0")
+
+    def test_level_digit_limit(self):
+        # numerator and denominator may have as many digits as integer text
+        limit = sys.get_int_max_str_digits()
+        assert parse_level(f"1e{limit - 1},-1e-{limit - 1}") == (10**(limit - 1), Fraction(-1, 10**(limit - 1)))
+        assert parse_level("2.5e3") == (Fraction(2500),)
+        for text in (f"1e{limit}", f"1e-{limit}", f"0.3e-{limit - 1}", "1e5000", "0e5000"):
+            with pytest.raises(ParseError):
+                parse_level(text)
+
+
+class TestStringify:
+    def test_leaves_and_containers(self):
+        value = {"x": (Fraction(-1, 4), 8), "m": IntMatrix([[1, 2]]), "ok": True, "no": None, "s": "a"}
+        assert stringify(value) == {"x": ["-1/4", "8"], "m": [["1", "2"]], "ok": True, "no": None, "s": "a"}
 
 
 class TestReport:
