@@ -28,12 +28,16 @@ __all__ = [
     "random_lg_model",
     "witness_of_construction",
     "ATTEMPT_BUDGET",
+    "MAX_ENTRIES",
 ]
 
 _MASK64 = (1 << 64) - 1
 
 # attempts allowed per rejection-sampled object (the block, each column)
 ATTEMPT_BUDGET = 10_000
+
+# most entries a model may hold, counting padding rows: (r + pad) * (r + n)
+MAX_ENTRIES = 1_000_000
 
 
 class SplitMix64:
@@ -62,12 +66,23 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound):
-        """Unbiased draw from ``range(bound)`` by rejection."""
+        """Unbiased draw from ``range(bound)`` by rejection.
+
+        Each try reads the fewest ``k`` 64-bit outputs with
+        ``2**(64k) >= bound``, high word first, so a bound up to ``2**64``
+        draws as it always has, one output per try, and a larger one still
+        accepts at least half of the tries.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        words = 1 if bound <= 1 << 64 else -(-(bound - 1).bit_length() // 64)
+        span = 1 << 64 * words
+        limit = span - span % bound
         while True:
             u = self.next_uint64()
+            if words > 1:  # tested first, so a one-word try costs what it always did
+                for _ in range(words - 1):
+                    u = u << 64 | self.next_uint64()
             if u < limit:
                 return u % bound
 
@@ -85,8 +100,9 @@ class GeneratorConfig:
     ``r`` vacuum columns and ``n`` coordinate columns; entries of the
     square block lie in ``[-entry_bound, entry_bound]`` and sampled columns
     in ``[-sample_bound, sample_bound]``.  ``pad_dependent_rows`` appends
-    that many integer-combination rows.  The output is a function of this
-    config alone.
+    that many integer-combination rows.  The model may hold at most
+    :data:`MAX_ENTRIES` entries, checked before anything is allocated.  The
+    output is a function of this config alone.
     """
 
     r: int
@@ -106,6 +122,9 @@ class GeneratorConfig:
             raise ValueError("bounds must be at least 1")
         if self.pad_dependent_rows < 0:
             raise ValueError("negative padding count")
+        entries = (self.r + self.pad_dependent_rows) * (self.r + self.n)
+        if entries > MAX_ENTRIES:
+            raise ValueError(f"(r + pad) * (r + n) = {entries} exceeds {MAX_ENTRIES} entries")
 
 
 def random_lg_model(cfg):

@@ -21,8 +21,11 @@ Conventions fixed here and relied on elsewhere:
   tableau ``p * B^-1 * Q`` and run the Hermite arithmetic mod ``|p|``, so
   no entry of the lattice pass outgrows the minors of ``Q``.  The Smith
   form serves the orbifold groups only.
-* Every tableau ``p * B^-1 * M`` starts in ``_eliminate(rows, cols)``, on
-  integer rows; only the subset walk of :mod:`lgphase.phases` moves one on.
+* Every tableau ``p * B^-1 * M`` of a matrix starts in
+  ``_eliminate(rows, cols)``, on integer rows.  Only :mod:`lgphase.phases`
+  moves one on with ``_exchange``: the subset walk, and the Gale search,
+  whose LP and scan tableaux extend that of ``Q`` or start on an identity
+  block.
 """
 
 from __future__ import annotations

@@ -16,9 +16,32 @@ invariant unchanged while making rank-deficient input well defined.
 For a block ``R`` of ``r`` columns, fraction-free Gauss-Jordan elimination
 gives the integer tableau ``T = p * R^-1 * Q`` with ``p = +-det R``.  The
 block is a witness exactly when no entry ``x`` of ``T`` outside the chosen
-columns has ``p * x > 0`` (one rule for the walk, :func:`check_witness` and
-the generator), and ``R^-1 Q = T / p`` is its row-reduced matrix.  The search
-moves this one tableau from subset to subset by single-column exchanges.
+columns has ``p * x > 0`` (one rule for the search, :func:`check_witness`
+and the generator), and ``R^-1 Q = T / p`` is its row-reduced matrix.
+
+The search runs on the Gale dual.  Let the columns of an ``N x n`` matrix
+``K`` span ``ker Q``; its rows ``g_1, ..., g_N`` are the Gale vectors.
+
+Theorem.  ``C`` is a witness exactly when the Gale vectors of the other
+columns are linearly independent and every ``g_i`` is a nonnegative
+combination of them.  So a phase exists exactly when ``cone(g_1..g_N)`` is
+simplicial, and the witnesses are the complements of the ways to take one
+Gale vector from each extreme ray's class (the Gale vectors that are
+positive multiples of one another).  A zero Gale vector, a coloop of
+``Q``, is chosen in every witness.
+
+Proof.  Let ``D`` be the complement of ``C`` and ``R = Q[:, C]``.  ``R``
+is singular exactly when a nonzero ``x`` in ``ker Q`` has ``x_D = 0``,
+that is exactly when ``K[D, :]`` is singular, so exactly when ``g_D`` is
+dependent.  Otherwise change the basis of ``ker Q`` so that
+``K[D, :] = I``: column ``k`` of ``K`` is then the kernel vector with
+``x_D = e_k``, whose ``C`` part is ``-R^-1 q_(d_k)``.  So for ``j`` in
+``C`` the coordinates of ``g_j`` in the basis ``g_D`` are
+``-(R^-1 q_d)_j`` over ``d`` in ``D``, and they are all nonnegative exactly
+when every ``q_d`` lies in the negative cone of ``R``.  A witness thus
+makes ``cone(g_1..g_N) = cone(g_D)`` simplicial, with one Gale vector of
+``g_D`` on each extreme ray; conversely, when the cone is simplicial, any
+choice of one Gale vector per extreme ray is a basis that generates it.
 """
 
 from __future__ import annotations
@@ -26,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from . import linalg
 from .errors import DimensionMismatch, EmptyMatrix, NotNegativeCone, SingularChoice
@@ -125,8 +149,8 @@ def candidate_columns(cm):
 
     A zero column makes the chosen block singular and a repeated column has
     reduced coordinates ``e_i`` relative to its twin, which is not ``<= 0``,
-    so neither can appear in any witness.  Filtering them first shrinks the
-    subset enumeration without changing its result.
+    so neither can appear in any witness: fewer than ``r`` candidates rule
+    a phase out before any search.
     """
     cols = cm.reduced.columns()
     zero = (0,) * cm.rank
@@ -230,32 +254,178 @@ def _inside_negative_cone(t, p):
     return all(sum(map(fails, row)) == 1 for row in t)
 
 
-def enumerate_phases(cm, prune=True):
-    """All witnesses, as a list ordered by lexicographic chosen set.
+def _subset_walk(cm):
+    """Every witness among all ``r``-subsets of columns, by the revolving-door walk.
 
-    With ``prune`` (the default) only subsets of :func:`candidate_columns`
-    are tried; without it every ``r``-subset of columns is tested.  The two
-    settings return identical lists.
-
-    The subsets are walked in revolving-door order, so each differs from
-    the last by one column and the integer tableau ``p * B^-1 * Q`` of the
-    previous block ``B`` needs one exact pivot, in the row of the leaving
-    column.  A zero pivot entry is ``+-det`` of the new block: that subset
-    is singular and skipped, the tableau stays on the last nonsingular
-    block, and the next subset is reached from there by one pivot per
-    column that differs.  Only the first block is factorized from scratch.
-    Every subset that passes is verified again by :func:`check_witness`.
+    Each subset differs from the last by one column, so the integer tableau
+    ``p * B^-1 * Q`` of the previous block ``B`` needs one exact pivot, in
+    the row of the leaving column.  A zero pivot entry is ``+-det`` of the
+    new block: that subset is singular and skipped, the tableau stays on
+    the last nonsingular block, and the next subset is reached from there
+    by one pivot per column that differs.  Only the first block is
+    factorized from scratch.  Every subset that passes is verified again
+    by :func:`check_witness`.
     """
-    pool = candidate_columns(cm) if prune else tuple(range(cm.num_fields))
     t, p, basis = [list(row) for row in cm.reduced.rows], 1, [None] * cm.rank
     found = []
-    for subset in _revolving_door(len(pool), cm.rank):
-        cols = [pool[k] for k in subset]
+    for cols in _revolving_door(cm.num_fields, cm.rank):
         keep, held = set(cols), set(basis)
         leaving = [a for a, c in enumerate(basis) if c not in keep]
         p, ok = linalg._pivot_in(t, p, basis, [c for c in cols if c not in held], leaving)
         if ok and _inside_negative_cone(t, p):
             found.append(check_witness(cm, basis))
+    return found
+
+
+def _positive_relation(t, p, basis, free):
+    """A point ``x`` of ``ker Q`` with ``x >= 1`` off the coloops, on the columns ``free``.
+
+    ``t == p * B^-1 * Q`` holds column ``basis[a]`` in row ``a``.  Returns
+    ``x[free]`` scaled to integers, or ``None`` when no such point exists.
+    Phase 1 of the simplex method on ``y = x - 1 >= 0``: the rows of ``t``
+    that are not coloops (a coloop row holds ``p`` alone and forces
+    ``x = 0``) read ``t[a] . y = -sum(t[a])``.  The basic solution of ``B``
+    is feasible unless some ``y`` of ``B`` is negative; then one artificial
+    ``x0``, entered in the most negative row, makes it feasible, and
+    Bland's rule, which cannot cycle, drives ``x0`` down.  Every pivot is
+    :func:`lgphase.linalg._exchange` on one tableau, objective row
+    included, so all entries stay integers.
+    """
+    width = len(t[0]) if t else 0
+    rows, held = [], []
+    for row, b in zip(t, basis):
+        if sum(map(bool, row)) > 1:
+            rows.append(row + [0, -sum(row)])  # columns of Q, then x0, then the right side
+            held.append(b)
+    fails = _wrong_sign(p)
+    late = [a for a, row in enumerate(rows) if fails(-row[-1])]
+    if late:
+        for a in late:
+            rows[a][width] = -p
+        rows.append([0] * width + [-p, 0])  # the objective x0
+        a = max(late, key=lambda a: -p * rows[a][-1])
+        p = linalg._exchange(rows, a, width, p)
+        held[a] = width
+        while True:
+            fails = _wrong_sign(p)
+            c = next((j for j, e in enumerate(rows[-1][:-1]) if fails(e)), None)
+            if c is None:
+                break
+            a = None
+            for i, b in enumerate(held):
+                x = rows[i][c]
+                if fails(x):
+                    # the sign of (ratio of row i) - (ratio of row a)
+                    d = 1 if a is None else rows[i][-1] * rows[a][c] - rows[a][-1] * x
+                    if a is None or d < 0 or d == 0 and b < held[a]:
+                        a = i
+            p = linalg._exchange(rows, a, c, p)
+            held[a] = c
+        if rows[-1][-1]:
+            return None
+    y = {b: rows[a][-1] for a, b in enumerate(held)}
+    return [abs(p + y.get(f, 0)) for f in free]
+
+
+def _gale_search(cm):
+    """Every witness, from ``n`` vertices of the Gale cone; see the module docstring.
+
+    One tableau ``p * B^-1 * Q`` on the pivot columns gives the Gale
+    vectors: free column ``free[k]`` gives ``e_k`` and the column held by
+    row ``a`` gives ``-sign(p) * t[a][free]``, a positive multiple of its
+    Gale vector in the basis where the free ones are the identity.  One LP
+    (:func:`_positive_relation`) finds ``x`` in ``ker Q`` with ``x >= 1``
+    off the coloops, whose free part ``psi`` gives ``s_i = psi . g_i``, a
+    positive multiple of ``x_i``, on every nonzero ``g_i``; or it proves
+    that the cone is not pointed, so no phase exists.  The points ``g_i / s_i`` lie on one hyperplane, and if
+    a phase exists they span a simplex whose vertices are the extreme rays.
+
+    Each scan then takes a linear function that vanishes on the vertices
+    found so far, its largest value over the points, and the lex-max point
+    where that value is taken: a vertex of a face, so a vertex, and
+    independent of the earlier ones.  The function is row ``k`` of a second
+    tableau, of the Gale vectors as columns, with the ``k`` vertices found
+    pivoted into rows ``0..k-1``.  Its entry at the Gale vector ``e_k`` is
+    the tableau's pivot, so the largest value is positive, and so is the
+    next pivot.  Points are compared by integer cross-multiplication.
+
+    After ``n`` scans the vertices are all the vertices if a phase exists,
+    so one :func:`check_witness` on the complement of one per class
+    decides; when it passes, every witness is the complement of one Gale
+    vector from each class, and each is verified.
+    """
+    t, p, basis = linalg._eliminate(cm.reduced.rows, cm.pivot_columns)
+    held = set(basis)
+    free = [j for j in range(cm.num_fields) if j not in held]
+    psi = _positive_relation(t, p, basis, free)
+    if psi is None:
+        return []
+    gale = {f: tuple(int(k == i) for i in range(len(free))) for k, f in enumerate(free)}
+    for row, b in zip(t, basis):
+        gale[b] = tuple(-row[f] if p > 0 else row[f] for f in free)
+    points = [i for i in range(cm.num_fields) if any(gale[i])]
+    vecs = [gale[i] for i in points]
+    s = [sum(map(int.__mul__, psi, g)) for g in vecs]
+    scan, q, reps = [list(col) for col in zip(*vecs)], 1, []
+    for k in range(len(scan)):
+        m = _lex_max([(e, *g) for e, g in zip(scan[k], vecs)], s)
+        q = linalg._exchange(scan, k, m, q)
+        reps.append(m)
+    classes = [
+        [points[m]] + [points[j] for j, g in enumerate(vecs)
+                       if j != m and all(x * s[m] == y * s[j] for x, y in zip(g, vecs[m]))]
+        for m in reps
+    ]
+    combos = product(*classes)
+    try:
+        found = [check_witness(cm, _complement(cm, next(combos)))]
+    except NotNegativeCone:
+        return []
+    return found + [check_witness(cm, _complement(cm, combo)) for combo in combos]
+
+
+def _lex_max(keys, scales):
+    """The index ``m`` of the lexicographically largest ``keys[m] / scales[m]``.
+
+    The scales are positive, so two keys compare by cross-multiplication.
+    """
+    best = 0
+    for m in range(1, len(keys)):
+        for x, y in zip(keys[m], keys[best]):
+            if x * scales[best] != y * scales[m]:
+                if x * scales[best] > y * scales[m]:
+                    best = m
+                break
+    return best
+
+
+def _complement(cm, cols):
+    """The columns of ``cm`` not in ``cols``, ascending."""
+    return [j for j in range(cm.num_fields) if j not in cols]
+
+
+def enumerate_phases(cm, prune=True):
+    """All witnesses, as a list ordered by lexicographic chosen set.
+
+    With ``prune`` (the default) the witnesses are read off the Gale
+    vectors of ``Q`` (see :func:`_gale_search` and the theorem in the
+    module docstring): ``Q`` has a phase exactly when the cone of its Gale
+    vectors is simplicial, and the witnesses are the complements of one
+    Gale vector from each extreme ray's class.  Fewer than ``r``
+    :func:`candidate_columns` already rule a phase out.  The search costs
+    one LP and ``n`` scans, each one pivot, instead of ``C(N, r)`` pivots.
+
+    Without ``prune`` every ``r``-subset of columns is tested by the
+    revolving-door walk, one pivot per subset (:func:`_subset_walk`); it
+    shares only the pivot step and :func:`check_witness` with the Gale
+    search, and serves as its oracle.  The two settings return identical lists.
+    """
+    if not prune:
+        found = _subset_walk(cm)
+    elif len(candidate_columns(cm)) < cm.rank:
+        found = []
+    else:
+        found = _gale_search(cm)
     found.sort(key=lambda w: w.chosen)
     return found
 

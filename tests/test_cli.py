@@ -407,6 +407,15 @@ class TestGenerateCommand:
         assert lines[0]["Q"] == [["-3", "-5", "2", "4", "2"], ["-5", "-5", "2", "5", "2"]]
         assert lines[0]["witness"] == ["0", "1"]
 
+    def test_entry_bound_beyond_64_bits(self, capsys):
+        # the block entries are drawn from a range wider than one 64-bit output
+        code, out = run(capsys, ["generate", "--r", "1", "--n", "1", "--entry-bound",
+                                 "10000000000000000000", "--json"])
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["witness"] == ["0"]
+        assert abs(int(rec["Q"][0][0])) <= 10**19
+
     def test_count_seeds_differ(self, capsys):
         code, out = run(capsys, ["generate", "--r", "1", "--n", "2", "--seed", "3",
                                  "--count", "3", "--json"])

@@ -16,6 +16,7 @@ from lgphase import (
     random_lg_model,
     witness_of_construction,
 )
+from lgphase.generate import MAX_ENTRIES
 
 
 def cramer_sampler(cfg):
@@ -75,6 +76,27 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(0).below(0)
 
+    def test_below_one_word_draws_unchanged(self):
+        # bounds up to 2**64 read one output per try, as before wide bounds were drawn
+        def one_word(rng, bound):
+            limit = (1 << 64) - ((1 << 64) % bound)
+            while True:
+                u = rng.next_uint64()
+                if u < limit:
+                    return u % bound
+
+        for bound in (1, 7, 2**63 + 1, 2**64 - 1, 2**64):
+            a, b = SplitMix64(bound), SplitMix64(bound)
+            assert [a.below(bound) for _ in range(20)] == [one_word(b, bound) for _ in range(20)]
+
+    @pytest.mark.parametrize("bound", [2**64 + 1, 3 * 2**64, 10**40])
+    def test_below_wide_bound(self, bound):
+        # one draw combines ceil(bits / 64) outputs; the upper half of the range is reached
+        rng = SplitMix64(4)
+        values = [rng.below(bound) for _ in range(200)]
+        assert all(0 <= v < bound for v in values)
+        assert max(values) > bound // 2
+
     def test_int_between_inclusive(self):
         rng = SplitMix64(2)
         values = {rng.int_between(-2, 2) for _ in range(200)}
@@ -95,6 +117,15 @@ class TestGeneratorConfig:
             GeneratorConfig(r=1, n=1, sample_bound=0)
         with pytest.raises(ValueError):
             GeneratorConfig(r=1, n=1, pad_dependent_rows=-1)
+
+    def test_size_limit(self):
+        # (r + pad) * (r + n) entries at most, decided before any allocation
+        GeneratorConfig(r=1000, n=0)
+        GeneratorConfig(r=1, n=MAX_ENTRIES - 1)
+        for kwargs in ({"r": 100_000, "n": 1}, {"r": 1, "n": MAX_ENTRIES},
+                       {"r": 1, "n": 1, "pad_dependent_rows": MAX_ENTRIES}):
+            with pytest.raises(ValueError, match="exceeds"):
+                GeneratorConfig(**kwargs)
 
     def test_frozen(self):
         cfg = GeneratorConfig(r=1, n=1)

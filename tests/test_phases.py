@@ -28,6 +28,9 @@ RWP4 = [[0, 0, 1, 1, 1, 1, -4], [1, 1, 0, 0, 0, -2, 0]]
 KP1P1 = [[1, 1, 0, 0, -2], [0, 0, 1, 1, -2]]
 
 
+MOMENT_CURVE = [[t ** k for t in range(1, 13)] for k in range(5)]
+
+
 def frac_rows(rows):
     return RatMatrix([[Fraction(e) for e in row] for row in rows])
 
@@ -40,6 +43,39 @@ def checked(cm, chosen):
         return ("singular",)
     except NotNegativeCone as e:
         return ("reject", e.row, e.col)
+
+
+def count_pivots_and_checks(monkeypatch):
+    """Counts of :func:`lgphase.linalg._exchange` and :func:`check_witness` calls from now on."""
+    counts = {"pivots": 0, "checks": 0}
+    exchange, check = linalg._exchange, phases.check_witness
+
+    def counting_exchange(*args):
+        counts["pivots"] += 1
+        return exchange(*args)
+
+    def counting_check(*args):
+        counts["checks"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(linalg, "_exchange", counting_exchange)
+    monkeypatch.setattr(phases, "check_witness", counting_check)
+    return counts
+
+
+def planted_model(rng, r, n_fields):
+    """``(R | -R C)`` for a nonsingular ``r x r`` block ``R`` and ``C`` in ``[0, 2]``:
+    ``{0, ..., r-1}`` is a witness by construction."""
+    while True:
+        block = rand_matrix(rng, r, r, 3)
+        if linalg.determinant(block):
+            break
+    rows = [list(row) for row in block.rows]
+    for _ in range(n_fields - r):
+        c = [rng.randint(0, 2) for _ in range(r)]
+        for row in rows:
+            row.append(-sum(x * k for x, k in zip(row, c)))
+    return rows
 
 
 def awkward_matrices(seed, count):
@@ -213,24 +249,41 @@ class TestEnumerate:
     def test_moment_curve_one_pivot_per_subset(self, monkeypatch):
         # columns (1, t, ..., t^4): every 5-subset is nonsingular, and none is
         # a witness, since every column has the same sign in the first row
-        cm = make_charge_matrix([[t ** k for t in range(1, 13)] for k in range(5)])
-        assert len(candidate_columns(cm)) == 12
-        counts = {"pivots": 0, "checks": 0}
-        exchange, check = linalg._exchange, phases.check_witness
-
-        def counting_exchange(*args):
-            counts["pivots"] += 1
-            return exchange(*args)
-
-        def counting_check(*args):
-            counts["checks"] += 1
-            return check(*args)
-
-        monkeypatch.setattr(linalg, "_exchange", counting_exchange)
-        monkeypatch.setattr(phases, "check_witness", counting_check)
-        assert enumerate_phases(cm) == []
+        cm = make_charge_matrix(MOMENT_CURVE)
+        counts = count_pivots_and_checks(monkeypatch)
+        assert enumerate_phases(cm, prune=False) == []
         # one factorization of the first block (5 pivots), then one pivot per subset
         assert counts == {"pivots": 5 + comb(12, 5) - 1, "checks": 0}
+
+    def test_moment_curve_gale_search_pivots(self, monkeypatch):
+        # the positive first row makes the Gale cone not pointed: the tableau
+        # (5 pivots) and one LP pivot decide, with no subset tried
+        cm = make_charge_matrix(MOMENT_CURVE)
+        assert len(candidate_columns(cm)) == 12
+        counts = count_pivots_and_checks(monkeypatch)
+        assert enumerate_phases(cm) == []
+        assert counts["checks"] == 0
+        assert counts["pivots"] <= cm.rank + cm.num_fields
+        assert counts["pivots"] == 6
+
+    @pytest.mark.parametrize("r, n_fields", [(8, 20), (12, 30)])
+    def test_planted_gale_search_pivots(self, monkeypatch, r, n_fields):
+        # C(20, 8) = 125 970 and C(30, 12) = 86 493 225 subsets for the walk;
+        # the search takes the tableau, the LP, one pivot per scan and one
+        # check_witness (r pivots) per witness
+        cm = make_charge_matrix(planted_model(random.Random(r), r, n_fields))
+        counts = count_pivots_and_checks(monkeypatch)
+        ws = enumerate_phases(cm)
+        assert tuple(range(r)) in [w.chosen for w in ws]
+        assert counts["checks"] == len(ws)
+        assert counts["pivots"] <= 2 * (cm.rank + cm.num_fields) + cm.rank * len(ws)
+
+    def test_planted_gale_search_equals_walk(self):
+        for seed in range(3):
+            cm = make_charge_matrix(planted_model(random.Random(seed), 5, 12))
+            fast = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm)]
+            slow = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune=False)]
+            assert fast == slow and fast
 
     def test_check_witness_runs_once_per_witness(self, monkeypatch):
         calls = []

@@ -1,8 +1,11 @@
-"""Property tests of the subset walk; skipped when hypothesis is absent."""
+"""Property tests of the witness search; skipped when hypothesis is absent."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+import random  # noqa: E402
+from itertools import product  # noqa: E402
+
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -32,3 +35,44 @@ def test_pruned_walk_equals_unpruned_and_cramer_oracle(rows):
     expected = oracle_phases(cm, prune=False)
     for prune in (True, False):
         assert [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune)] == expected
+
+
+def degenerate_model(rng):
+    """A small charge matrix, often with zero, duplicated or rescaled columns
+    and with padding rows (integer combinations of the others)."""
+    rho = rng.randint(1, 3)
+    cols = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(rng.randint(1, rho + 4))]
+    for _ in range(rng.randint(0, 2)):
+        twin = rng.choice(cols)
+        cols.append(rng.choice([[0] * rho, twin, [2 * e for e in twin], [-e for e in twin]]))
+    rows = [list(row) for row in zip(*cols)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        rows.append([sum(rng.randint(-2, 2) * row[j] for row in rows) for j in range(len(cols))])
+    return rows
+
+
+def positive_multiples(g, h):
+    """True when the vectors ``g`` and ``h`` span the same ray."""
+    parallel = all(a * d == b * c for a, b in zip(g, h) for c, d in zip(g, h))
+    return parallel and sum(map(int.__mul__, g, h)) > 0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1))
+def test_witnesses_are_the_product_of_gale_ray_classes(seed):
+    # ten models per seed, 5 000 in all.  The Gale vectors are the rows of
+    # the saturated kernel, a route that shares no code with the search;
+    # the walk is the oracle for the witness list.
+    rng = random.Random(seed)
+    for _ in range(10):
+        cm = make_charge_matrix(degenerate_model(rng))
+        walk = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune=False)]
+        assert [(w.chosen, w.row_reduced) for w in enumerate_phases(cm)] == walk
+        if not walk:
+            continue
+        gale = cm.kernel.rows
+        fields = range(cm.num_fields)
+        rays = [d for d in fields if d not in walk[0][0]]
+        classes = [[i for i in fields if positive_multiples(gale[i], gale[d])] for d in rays]
+        expected = sorted(tuple(j for j in fields if j not in combo) for combo in product(*classes))
+        assert [chosen for chosen, _ in walk] == expected, cm.matrix
