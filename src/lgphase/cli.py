@@ -83,8 +83,11 @@ def cmd_orbifold(args):
         "smith": {"u": od.smith.u, "d": od.smith.d, "v": od.smith.v},
         **report._orbifold_section(od),
     })
-    lines = [f"chosen columns: {', '.join(payload['chosen'])}", *report._orbifold_lines(payload, "")]
-    _emit(args, payload, "\n".join(lines))
+    table = None
+    if args.table:
+        chosen = f"chosen columns: {', '.join(payload['chosen'])}"
+        table = "\n".join([chosen, *report._orbifold_lines(payload, "")])
+    _emit(args, payload, table)
     return 0
 
 
@@ -108,12 +111,18 @@ def cmd_polytope(args):
         "half_spaces": spaces,
         "simplicial": simplicial,
     })
+    _emit(args, payload, _polytope_table(payload, simplicial) if args.table else None)
+    return 0 if simplicial else 1
+
+
+def _polytope_table(payload, simplicial):
+    """The ``--table`` text of a stringified :func:`cmd_polytope` payload."""
     lines = [
         f"chosen columns: {', '.join(payload['chosen'])}",
         f"level: {', '.join(payload['level'])}",
-        f"membership: {membership}",
+        f"membership: {payload['membership']}",
     ]
-    if spaces is not None:
+    if payload["half_spaces"] is not None:
         lines.append(f"lift: {', '.join(payload['lift'])}")
         lines.append("half-spaces (normal | offset):")
         for hs in payload["half_spaces"]:
@@ -121,8 +130,7 @@ def cmd_polytope(args):
         lines.append(f"simplicial cone: {'yes' if simplicial else 'no'}")
     else:
         lines.append("level is not interior to the phase cone; no verdict")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if simplicial else 1
+    return "\n".join(lines)
 
 
 def cmd_generate(args):

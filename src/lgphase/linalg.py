@@ -82,7 +82,7 @@ class _Matrix:
 
     def __init__(self, rows, ncols=None):
         convert = self._convert
-        data = tuple(tuple(convert(e) for e in row) for row in rows)
+        data = tuple(tuple(map(convert, row)) for row in rows)
         if data:
             widths = {len(r) for r in data}
             if len(widths) != 1:
@@ -147,6 +147,14 @@ class _Matrix:
         return f"{name}({[list(r) for r in self._rows]!r})"
 
     @classmethod
+    def _of(cls, rows, ncols):
+        """A matrix on ``rows``, equal-length tuples of this type's entries, taken unchecked."""
+        self = object.__new__(cls)
+        self._rows = rows
+        self._ncols = ncols
+        return self
+
+    @classmethod
     def identity(cls, n):
         one = cls._convert(1)
         zero = cls._convert(0)
@@ -168,7 +176,7 @@ class _Matrix:
         for j in idx:
             if not 0 <= j < self._ncols:
                 raise IndexError(j)
-        return type(self)(tuple(tuple(r[j] for j in idx) for r in self._rows), ncols=len(idx))
+        return self._of(tuple(tuple(r[j] for j in idx) for r in self._rows), len(idx))
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -184,6 +192,8 @@ class _Matrix:
 
 
 def _check_int(x):
+    if type(x) is int:
+        return x
     if type(x) is bool:
         raise TypeError("refusing a boolean entry; pass an integer")
     return int(operator.index(x))
@@ -552,7 +562,7 @@ def hermite_normal_form(m):
             q = rk[ci] // p
             if q:
                 out[k] = (out[k][0], [a - q * b for a, b in zip(rk, rowi)])
-    return IntMatrix(tuple(tuple(r) for _, r in out), ncols=m.ncols)
+    return IntMatrix._of(tuple(tuple(r) for _, r in out), m.ncols)
 
 
 def _saturation_basis(m, d):

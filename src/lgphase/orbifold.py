@@ -17,14 +17,16 @@ alone may differ, for instance a Z8 acting with weights (1,2,2,2) presents
 the same quotient as a Z4 with weights (1,1,1,1) after squaring the first
 coordinate.
 
-Neither step searches blindly.  Every axis scale is read off one exact
-inverse: with ``H`` the Hermite basis of ``m0 * L``, ``k * e_j`` lies in
-``m0 * L`` exactly when ``k`` times row ``j`` of ``H^-1`` is integral,
-because ``x`` lies in it exactly when ``x * H^-1`` is.  The permutation
-search skips arrangements that differ by a lattice automorphism:
-coordinates whose transposition fixes the lattice form blocks, and only
-distinct sequences of block labels are tried.  The form itself is the one
-a search over every permutation would return.
+Neither step searches blindly, and both run in integer row arithmetic.
+The Hermite basis ``H`` of ``m0 * L`` is upper triangular, so the least
+``k`` with ``k * e_j`` in ``m0 * L`` is ``H[j][j]`` times the order of the
+tail of row ``j`` modulo the rows below it, read one column at a time.
+The permutation search skips arrangements that differ by a lattice
+automorphism: coordinates whose transposition fixes the lattice form
+blocks, equal blocks that swap wholesale form groups, and only distinct
+sequences of block labels up to relabeling within a group are tried.  A
+swap is tested on the generators of the action alone.  The form itself is
+the one a search over every permutation would return.
 """
 
 from __future__ import annotations
@@ -131,16 +133,42 @@ def _hnf_contains(hnf, vec):
     return not any(v)
 
 
-def _swap_fixes(hnf, i, j):
-    """Whether swapping coordinates ``i`` and ``j`` maps the full-rank lattice to itself.
+def _axis_order(rows, j):
+    """Least ``k > 0`` with ``k * e_j`` in the row lattice of an upper-triangular basis.
 
-    The swapped lattice has the same covolume, so containing the swapped
-    basis rows already makes it equal.
+    ``rows`` is full rank with positive diagonal.  A lattice vector that
+    vanishes before column ``j`` is ``c * row_j`` plus rows past ``j``, so
+    ``k = c * rows[j][j]`` with ``c`` the order of the tail of row ``j``
+    modulo the rows past it.  That order is read one column ``i`` at a
+    time: the running vector's entry ``x`` there becomes a multiple of the
+    pivot ``p`` exactly when it is scaled by a multiple of
+    ``p / gcd(p, x)``, and row ``i`` then clears it.
     """
-    for row in hnf.rows:
-        v = list(row)
-        v[i], v[j] = v[j], v[i]
-        if not _hnf_contains(hnf, v):
+    k = rows[j][j]
+    v = rows[j][j + 1:]
+    for i in range(j + 1, len(rows)):
+        row = rows[i]
+        p = row[i]
+        t = p // gcd(p, v[0])
+        q = v[0] * t // p
+        v = [t * a - q * b for a, b in zip(v[1:], row[i + 1:])]
+        k *= t
+    return k
+
+
+def _swap_fixes(hnf, gens, xs, ys):
+    """Whether swapping coordinate ``xs[k]`` with ``ys[k]`` for every ``k`` fixes the lattice.
+
+    The full-rank lattice is spanned by ``gens`` and ``m * Z^n``, which
+    every coordinate permutation fixes, so the swapped lattice lies in it
+    exactly when the swapped generators do; it has the same covolume, so
+    it is then equal.
+    """
+    for v in gens:
+        w = list(v)
+        for i, j in zip(xs, ys):
+            w[i], w[j] = v[j], v[i]
+        if tuple(w) != v and not _hnf_contains(hnf, w):
             return False
     return True
 
@@ -162,31 +190,69 @@ def _multiset_permutations(items):
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
-def _class_arrangements(base, cls):
+def _class_arrangements(base, gens, cls):
     """Orderings of one equal-order class that can give distinct Hermite forms.
 
     Coordinates whose transposition fixes the lattice form blocks (the
     relation is an equivalence: ``(i k) = (i j)(j k)(i j)``).  Permuting
     inside a block is an automorphism, so only the sequence of block labels
     matters; each distinct sequence is realized once, filling every block's
-    slots with its members in increasing order.
+    slots with its members in increasing order.  Likewise blocks of equal
+    size whose wholesale swap (``k``-th member with ``k``-th member) fixes
+    the lattice form groups.  Swapping two labels of a group in a sequence
+    swaps its columns by such an automorphism, so the form is the same, and
+    only sequences in which each group's labels first appear in increasing
+    order are kept.
     """
     blocks = []
     labels = []
     for j in cls:
         for b, block in enumerate(blocks):
-            if _swap_fixes(base, block[0], j):
+            if _swap_fixes(base, gens, block[:1], [j]):
                 block.append(j)
                 labels.append(b)
                 break
         else:
             labels.append(len(blocks))
             blocks.append([j])
+    groups = []
+    for b, block in enumerate(blocks):
+        for group in groups:
+            first = blocks[group[0]]
+            if len(first) == len(block) and _swap_fixes(base, gens, first, block):
+                group.append(b)
+                break
+        else:
+            groups.append([b])
+    pairs = [(a, b) for group in groups for a, b in zip(group, group[1:])]
     out = []
     for seq in _multiset_permutations(labels):
-        members = [iter(block) for block in blocks]
-        out.append(tuple(next(members[b]) for b in seq))
+        if all(seq.index(a) < seq.index(b) for a, b in pairs):
+            members = [iter(block) for block in blocks]
+            out.append(tuple(next(members[b]) for b in seq))
     return out
+
+
+def _rescaled_lattice(rows, orders, n):
+    """``(m, base, gens)`` of the rescaled action; steps 1 and 2 of :func:`canonical_torus_action`.
+
+    ``base`` is the Hermite basis of ``m`` times the rescaled lattice and
+    ``gens`` are the rescaled generators, reduced mod ``m`` and nonzero;
+    ``base`` is spanned by ``gens`` and ``m * Z^n``.
+    """
+    m0 = lcm(*orders)
+    gens = [tuple(m0 // d * e for e in row) for row, d in zip(rows, orders)]
+    eye = [tuple(m0 if j == i else 0 for j in range(n)) for i in range(n)]
+    h0 = linalg.hermite_normal_form(IntMatrix(gens + eye, ncols=n)).rows
+    scale = [m0 // _axis_order(h0, j) for j in range(n)]
+    h1 = linalg.hermite_normal_form(
+        IntMatrix(tuple(tuple(c * e for c, e in zip(scale, row)) for row in h0), ncols=n)
+    )
+    g = gcd(m0, *(e for row in h1.rows for e in row))
+    m = m0 // g
+    base = IntMatrix(tuple(tuple(e // g for e in row) for row in h1.rows), ncols=n)
+    gens = [tuple(c * e // g % m for c, e in zip(scale, row)) for row in gens]
+    return m, base, [v for v in gens if any(v)]
 
 
 def canonical_torus_action(rows, orders, num_coords):
@@ -196,24 +262,25 @@ def canonical_torus_action(rows, orders, num_coords):
     normalized in three steps:
 
     1. Make every coordinate axis primitive in ``L`` by rescaling that
-       coordinate.  With ``m0 = lcm(d_a)`` and ``H`` the Hermite basis of
-       ``m0 * L``, ``x`` lies in ``m0 * L`` exactly when ``x * H^-1`` is
-       integral, so the least ``k_j`` with ``k_j * e_j`` in it is the lcm
-       of the denominators of row ``j`` of ``H^-1``.  ``k_j`` divides
-       ``m0``, coordinate ``j`` is scaled by ``m0 / k_j``, and the Hermite
-       form of ``H`` with its columns so scaled is ``m0`` times the
-       rescaled lattice.
+       coordinate.  With ``m0 = lcm(d_a)``, the Hermite basis ``H`` of
+       ``m0 * L`` is upper triangular, and the least ``k_j`` with
+       ``k_j * e_j`` in ``m0 * L`` is read off rows ``j..n-1`` of ``H`` in
+       integers (:func:`_axis_order`).  ``k_j`` divides ``m0``, coordinate
+       ``j`` is scaled by ``m0 / k_j``, and the Hermite form of ``H`` with
+       its columns so scaled is ``m0`` times the rescaled lattice.
     2. Clear denominators with the exponent ``m`` of the rescaled lattice.
     3. Take the lexicographically minimal Hermite form over coordinate
        permutations.  Coordinates can only trade places when their
        projections to the torus have equal order, so the search runs
        inside those classes.  Within a class, coordinates whose swap fixes
        the lattice are interchangeable, and only the distinct arrangements
-       of those blocks are tried (automorphism pruning in the sense of
-       McKay & Piperno, 2014).  The minimum is the same as over every
+       of those blocks are tried, up to wholesale swaps of equal blocks
+       that fix the lattice (automorphism pruning in the sense of McKay &
+       Piperno, 2014).  A swap is tested on the ``r`` rescaled generators
+       alone (:func:`_swap_fixes`).  The minimum is the same as over every
        permutation; a class with no such swaps still costs ``k!`` forms.
     """
-    rows = [tuple(linalg._check_int(e) for e in row) for row in rows]
+    rows = [tuple(map(linalg._check_int, row)) for row in rows]
     orders = [linalg._check_int(d) for d in orders]
     n = linalg._check_int(num_coords)
     if any(d <= 0 for d in orders) or len(rows) != len(orders):
@@ -222,39 +289,22 @@ def canonical_torus_action(rows, orders, num_coords):
         raise ValueError(f"exponent rows must have length {n}")
     if n == 0:
         return IntMatrix((), ncols=0)
-    m0 = lcm(*orders)
-    if m0 == 1:
-        return IntMatrix.identity(n)
-    gens = [tuple(m0 // d * e for e in row) for row, d in zip(rows, orders)]
-    gens += [tuple(m0 if j == i else 0 for j in range(n)) for i in range(n)]
-    h0 = linalg.hermite_normal_form(IntMatrix(gens, ncols=n))
-    # k * e_j lies in m0 * L exactly when k * (row j of h0^-1) is integral
-    inv = linalg.invert_rational(h0)
-    scale = [m0 // lcm(*(e.denominator for e in row)) for row in inv.rows]
-    h1 = linalg.hermite_normal_form(
-        IntMatrix(tuple(tuple(c * e for c, e in zip(scale, row)) for row in h0.rows), ncols=n)
-    )
-    g = m0
-    for row in h1.rows:
-        g = gcd(g, *row)
-    m = m0 // g
-    base = IntMatrix(tuple(tuple(e // g for e in row) for row in h1.rows), ncols=n)
+    m, base, gens = _rescaled_lattice(rows, orders, n)
     if m == 1:
         return IntMatrix.identity(n)
     # projection order of each coordinate; only equal orders may swap
-    proj = []
-    for j in range(n):
-        cg = 0
-        for row in base.rows:
-            cg = gcd(cg, row[j])
-        proj.append(m // gcd(m, cg))
     classes = {}
     for j in range(n):
-        classes.setdefault(proj[j], []).append(j)
+        classes.setdefault(m // gcd(m, *(v[j] for v in gens)), []).append(j)
     ordered_classes = [classes[o] for o in sorted(classes, reverse=True)]
-    arrangements = product(*(_class_arrangements(base, c) for c in ordered_classes))
-    best = min(
-        linalg.hermite_normal_form(base.select_columns([j for group in arr for j in group])).rows
-        for arr in arrangements
-    )
+    identity = list(range(n))
+    best = None
+    for arr in product(*(_class_arrangements(base, gens, c) for c in ordered_classes)):
+        cols = [j for group in arr for j in group]
+        if cols == identity:  # base is already this arrangement's Hermite form
+            form = base.rows
+        else:
+            form = linalg.hermite_normal_form(base.select_columns(cols)).rows
+        if best is None or form < best:
+            best = form
     return IntMatrix(best, ncols=n)

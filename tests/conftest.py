@@ -13,8 +13,10 @@ algorithm that shares no code with that pass.  ``torus_subgroup_lattice``
 is no oracle but an encoding of torus subgroups, built on the package's
 Hermite form, that the orbifold tests compare actions with.
 ``brute_canonical_torus_action`` finds the axis scales by a divisor scan
-and tries every permutation inside each class; it shares only the
-general Hermite form with ``canonical_torus_action``.
+(``axis_order_by_divisors``) and tries every permutation inside each
+class; it shares only the general Hermite form with
+``canonical_torus_action``.  ``swap_fixes_all_rows`` tests a transposition
+on every basis row, the oracle for the generator-only test.
 """
 
 from fractions import Fraction
@@ -231,18 +233,36 @@ def _stacked(rows, orders, n, m0, col_scale):
     return hermite_normal_form(IntMatrix(gens, ncols=n))
 
 
+def stacked_hermite(rows, orders, n):
+    """``(m0, H)``: ``m0 = lcm(orders)`` and the Hermite basis ``H`` of ``m0 * L``."""
+    m0 = lcm(*orders)
+    return m0, _stacked(rows, orders, n, m0, [1] * n)
+
+
+def axis_order_by_divisors(hnf, j, divisors):
+    """Least ``k`` in the ascending ``divisors`` with ``k * e_j`` in the row lattice of ``hnf``."""
+    n = hnf.ncols
+    return next(k for k in divisors if _hnf_contains(hnf, [k if i == j else 0 for i in range(n)]))
+
+
+def swap_fixes_all_rows(hnf, i, j):
+    """Whether swapping coordinates ``i`` and ``j`` fixes the full-rank lattice of ``hnf``,
+    tested on every basis row."""
+    for row in hnf.rows:
+        v = list(row)
+        v[i], v[j] = v[j], v[i]
+        if not _hnf_contains(hnf, v):
+            return False
+    return True
+
+
 def brute_canonical_torus_action(rows, orders, n):
     """Oracle for ``canonical_torus_action``: axis scales by a divisor scan,
     then the minimum Hermite form over every permutation inside each class."""
-    m0 = lcm(*orders)
+    m0, h0 = stacked_hermite(rows, orders, n)
     if m0 == 1:
         return IntMatrix.identity(n)
-    h0 = _stacked(rows, orders, n, m0, [1] * n)
-    scale = [
-        m0 // next(k for k in _divisors(m0)
-                   if _hnf_contains(h0, [k if i == j else 0 for i in range(n)]))
-        for j in range(n)
-    ]
+    scale = [m0 // axis_order_by_divisors(h0, j, _divisors(m0)) for j in range(n)]
     h1 = _stacked(rows, orders, n, m0, scale)
     g = gcd(m0, *(e for row in h1.rows for e in row))
     m = m0 // g

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON payloads, and input formats."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -353,6 +354,58 @@ class TestOrbifoldCommand:
                    for k in ("u", "d", "v"))
         block = IntMatrix([[-2, 0], [1, -4]])
         assert u * block * v == d
+
+
+class TestPinnedOutput:
+    """The ``--table`` text and the JSON of ``orbifold`` and ``polytope``, byte for byte.
+
+    The table is built only under ``--table``; both renderings must read
+    the same as the pinned text and the pinned SHA-256 of the JSON.
+    """
+
+    ORBIFOLD = ["orbifold", "[[0,1,1,1,1,-4],[1,0,0,0,-2,0]]", "--chosen", "4,5"]
+    POLYTOPE = ["polytope", "[[0,1,1,1,1,-4],[1,0,0,0,-2,0]]", "--chosen", "4,5"]
+
+    @pytest.mark.parametrize("argv, code, table, json_sha256", [
+        (ORBIFOLD, 0, """\
+chosen columns: 4, 5
+orbifold group: Z8 (invariant factors 1, 8; order 8)
+action exponents (row a modulo factor a):
+    0  0  0  0
+    7  6  6  6
+canonical action lattice:
+    1  1  1  1
+    0  4  0  0
+    0  0  4  0
+    0  0  0  4
+""", "0e736b1ab951ed74c64004fe1e5bf1d45ee480a2363a97ece4d58a84b2041d18"),
+        (POLYTOPE + ["--level=-1,-1"], 0, """\
+chosen columns: 4, 5
+level: -1, -1
+membership: interior
+lift: 0, 0, 0, 0, 1/2, 3/8
+half-spaces (normal | offset):
+    2  0  0  0  |  0
+    0  1  0  0  |  0
+    0  0  1  0  |  0
+    3  3  3  4  |  0
+    1  0  0  0  |  1/2
+    1  1  1  1  |  3/8
+simplicial cone: yes
+""", "2e038895049a41a5adb037d8493b7bd0bc9a9eaabc7f76c707cfa9cc9e4971c3"),
+        (POLYTOPE + ["--level=1,-1"], 1, """\
+chosen columns: 4, 5
+level: 1, -1
+membership: outside
+level is not interior to the phase cone; no verdict
+""", "b1cf7e06e9959d8bba6f9225565865f17ed720d75165bef2e9344a0343579e37"),
+    ], ids=["orbifold", "polytope-interior", "polytope-outside"])
+    def test_table_and_json_bytes(self, capsys, argv, code, table, json_sha256):
+        assert run(capsys, [*argv, "--table"]) == (code, table)
+        for flags in ([], ["--json"]):
+            got, out = run(capsys, [*argv, *flags])
+            assert got == code
+            assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
 
 
 class TestPolytopeCommand:

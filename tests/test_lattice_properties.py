@@ -1,4 +1,4 @@
-"""Property tests of the lattice pass; skipped when hypothesis is absent."""
+"""Property tests of the lattice pass and the Hermite form; skipped when hypothesis is absent."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import smith_integer_kernel, smith_row_space_reduce  # noqa: E402
 from lgphase import (  # noqa: E402
     IntMatrix,
+    hermite_normal_form,
     integer_kernel,
     invariant_factors,
     rank,
@@ -70,3 +71,19 @@ def test_row_lattice_invariant_and_idempotent(data):
     assert row_space_reduce(reduced) == reduced
     assert reduced.nrows == rank(m)
     assert invariant_factors(reduced) == (1,) * reduced.nrows
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.data())
+def test_hermite_form_invariant_and_idempotent(data):
+    m = data.draw(matrices())
+    u = data.draw(row_operations(m.nrows))
+    h = hermite_normal_form(m)
+    assert hermite_normal_form(u * m) == h
+    assert hermite_normal_form(h) == h
+    assert h.nrows == rank(m)
+    pivots = [next(j for j, e in enumerate(row) if e) for row in h.rows]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert h[i, c] > 0
+        assert all(0 <= h[k, c] < h[i, c] for k in range(i))

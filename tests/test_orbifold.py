@@ -1,14 +1,18 @@
 """Residual group data: pinned models, oracles, and presentation invariance."""
 
 import random
+from math import gcd, lcm
 
 import pytest
 
 from conftest import (
+    axis_order_by_divisors,
     brute_canonical_torus_action,
     cokernel_order_bruteforce,
     rand_matrix,
     random_nonsingular,
+    stacked_hermite,
+    swap_fixes_all_rows,
     torus_subgroup_lattice,
 )
 from lgphase import (
@@ -24,7 +28,7 @@ from lgphase import (
     make_charge_matrix,
     orbifold_group,
 )
-from lgphase import linalg
+from lgphase import linalg, orbifold
 
 TWOLG = [[0, 1, 1, 1, 1, -4], [1, 0, 0, 0, -2, 0]]
 RWP4 = [[0, 0, 1, 1, 1, 1, -4], [1, 1, 0, 0, 0, -2, 0]]
@@ -272,33 +276,62 @@ class TestPresentationInvariance:
                 assert canonical_torus_action(alt_rows, orders, od.num_coords) == base_can
 
 
+def random_action(rng, max_coords):
+    """Exponent rows and orders of a random action; half the draws repeat weights."""
+    n = rng.randint(1, max_coords)
+    orders = [rng.choice([2, 3, 4, 5, 6, 8, 12, 60]) for _ in range(rng.randint(1, 3))]
+    repeated = rng.random() < 0.5
+    rows = []
+    for d in orders:
+        pool = [rng.randrange(d) for _ in range(2 if repeated else n)]
+        rows.append(tuple(rng.choice(pool) for _ in range(n)))
+    return rows, orders, n
+
+
 class TestCanonicalFormOracle:
     """The pruned search returns the brute-force minimum, in few Hermite forms.
 
-    Each action takes one inverse and two Hermite forms for its axis scales,
-    then one Hermite form per arrangement searched.
+    Each action takes two Hermite forms for its axis scales and no inverse,
+    then one Hermite form per arrangement searched other than the identity.
     """
 
     def test_matches_brute_force(self):
         rng = random.Random(131)
         for _ in range(300):
-            n = rng.randint(1, 7)
-            orders = [rng.choice([2, 3, 4, 5, 6, 8, 12, 60]) for _ in range(rng.randint(1, 3))]
-            repeated = rng.random() < 0.5
-            rows = []
-            for d in orders:
-                pool = [rng.randrange(d) for _ in range(2 if repeated else n)]
-                rows.append([rng.choice(pool) for _ in range(n)])
+            rows, orders, n = random_action(rng, 7)
             assert canonical_torus_action(rows, orders, n) == \
                 brute_canonical_torus_action(rows, orders, n)
+
+    @pytest.mark.parametrize("rows, orders", [
+        ([(1, 1, 0, 0), (0, 0, 1, 1)], [2, 2]),  # K over P^1 x P^1
+        ([(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)], [3, 3]),  # K over P^2 x P^2
+        ([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)], [2, 2, 2]),
+        ([(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 3)], [2, 2, 4]),
+        ([(1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0), (0, 0, 0, 0, 1, 2)], [5, 5, 5]),
+        # equal blocks that do not swap wholesale
+        ([(1, 1, 2, 2)], [5]),
+        ([(1, 1, 2, 2, 3, 3)], [7]),
+    ])
+    def test_products_match_brute_force(self, rows, orders):
+        # whole summands swap by a lattice automorphism; shuffled columns
+        # and unit multiples of the rows must not move the form
+        rng = random.Random(132)
+        n = len(rows[0])
+        for _ in range(4):
+            perm = rng.sample(range(n), n)
+            units = [rng.choice([u for u in range(1, d) if gcd(u, d) == 1] or [1]) for d in orders]
+            moved = [tuple(u * row[p] for p in perm) for row, u in zip(rows, units)]
+            assert canonical_torus_action(moved, orders, n) == \
+                brute_canonical_torus_action(moved, orders, n)
 
     @pytest.mark.parametrize(
         "rows, orders, n, forms",
         [
-            ([(1,) * 10], [10], 10, 3),  # K over P^9: one block of ten
-            ([(1, 1)], [10**20 + 39], 2, 3),  # Z_D past trial division
-            # K over P^3 x P^3: two blocks in one class, C(8, 4) arrangements
-            ([(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)], [4, 4], 8, 72),
+            ([(1,) * 10], [10], 10, 2),  # K over P^9: one block of ten
+            ([(1, 1)], [10**20 + 39], 2, 2),  # Z_D past trial division
+            # K over P^3 x P^3: two blocks in one class that swap wholesale,
+            # C(8, 4) / 2 arrangements
+            ([(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)], [4, 4], 8, 36),
         ],
     )
     def test_hermite_calls_capped(self, monkeypatch, rows, orders, n, forms):
@@ -309,5 +342,47 @@ class TestCanonicalFormOracle:
                 return _fn(m)
             monkeypatch.setattr(linalg, name, counted)
         lattice = canonical_torus_action(rows, orders, n)
-        assert calls == {"hermite_normal_form": forms, "invert_rational": 1}
+        assert calls == {"hermite_normal_form": forms, "invert_rational": 0}
         assert lattice.shape == (n, n)
+
+
+class TestIntegerSteps:
+    """The integer axis orders and the generator-only swap test against their oracles."""
+
+    def test_axis_order_matches_divisor_scan(self):
+        rng = random.Random(141)
+        for _ in range(200):
+            rows, orders, n = random_action(rng, 7)
+            m0, h0 = stacked_hermite(rows, orders, n)
+            divisors = [k for k in range(1, m0 + 1) if m0 % k == 0]
+            for j in range(n):
+                assert orbifold._axis_order(h0.rows, j) == axis_order_by_divisors(h0, j, divisors)
+
+    @pytest.mark.parametrize("rows, orders", [
+        ([(1, 1)], [10**20 + 39]),
+        ([(1, 1, 0), (0, 3, 1)], [10**20 + 39, 4]),
+        ([(1, 2, 2), (0, 1, 1)], [4 * (10**20 + 39), 2]),
+    ])
+    def test_axis_order_past_trial_division(self, rows, orders):
+        # m0 = 4 * P with P = 10**20 + 39 prime, so its divisors are known
+        # without a scan to sqrt(m0)
+        big = 10**20 + 39
+        m0, h0 = stacked_hermite(rows, orders, len(rows[0]))
+        divisors = sorted(a * b for a in (1, 2, 4) for b in (1, big) if m0 % (a * b) == 0)
+        for j in range(h0.ncols):
+            assert orbifold._axis_order(h0.rows, j) == axis_order_by_divisors(h0, j, divisors)
+
+    def test_generator_swap_test_matches_all_rows(self):
+        rng = random.Random(142)
+        verdicts = set()
+        for _ in range(200):
+            rows, orders, n = random_action(rng, 7)
+            if lcm(*orders) == 1:
+                continue
+            m, base, gens = orbifold._rescaled_lattice(rows, orders, n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    fixed = orbifold._swap_fixes(base, gens, [i], [j])
+                    assert fixed == swap_fixes_all_rows(base, i, j)
+                    verdicts.add(fixed)
+        assert verdicts == {True, False}

@@ -301,6 +301,34 @@ class TestEnumerate:
             assert w.charge is cm
 
 
+class TestPositiveRelation:
+    """The LP of the Gale search on a model whose ratio test ties.
+
+    At a pivot of this model two rows reach the least ratio.  Bland's rule
+    lets the row holding the smaller column leave, and the LP ends on the
+    point pinned here; letting the first tied row leave ends on
+    ``(3, 9, 3, 6)`` instead.  Any valid point would do for the search, so
+    the pin guards the tie-break, which keeps the LP from cycling.
+    """
+
+    TIE = [[-2, 0, -2, 0, 1, 1, 0], [-1, -1, 1, 0, 0, -1, 2], [-1, -1, -1, 2, 2, -1, -1]]
+
+    def test_tie_broken_by_bland_rule(self):
+        cm = make_charge_matrix(self.TIE)
+        t, p, basis = linalg._eliminate(cm.reduced.rows, cm.pivot_columns)
+        free = [j for j in range(cm.num_fields) if j not in basis]
+        psi = phases._positive_relation(t, p, basis, free)
+        assert psi == [12, 4, 12, 8]
+        # psi extends to a point of ker Q that is positive on every column
+        x = dict(zip(free, psi))
+        for row, b in zip(t, basis):
+            x[b] = Fraction(-sum(row[f] * x[f] for f in free), p)
+        point = [x[j] for j in range(cm.num_fields)]
+        assert all(e > 0 for e in point)
+        assert all(sum(q * e for q, e in zip(row, point)) == 0 for row in self.TIE)
+        assert enumerate_phases(cm) == enumerate_phases(cm, prune=False) == []
+
+
 class TestSuperpotential:
     def test_kernel_monomial_passes(self):
         cm = make_charge_matrix(TWOLG)
