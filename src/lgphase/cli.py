@@ -2,7 +2,9 @@
 
 Subcommands: ``phases``, ``orbifold``, ``polytope``, ``generate``,
 ``check``.  Input is a path to JSON (``{"Q": [[...]]}`` or a bare array)
-or CSV, ``-`` for stdin, or an inline JSON array.  Exit codes: 0 when
+or CSV, ``-`` for stdin, or an inline JSON array.  Every subcommand
+prints JSON (``--json``, the default) or nothing (``--quiet``); all but
+``generate`` also print a table under ``--table``.  Exit codes: 0 when
 phases were found or a check passed, 1 when none were found or a check
 failed (including mathematical errors on well-formed input), 2 on usage
 or parse errors.
@@ -69,7 +71,7 @@ def _emit(args, payload, table_text=None):
 
 def cmd_phases(args):
     cm = phases.make_charge_matrix(_read_matrix_argument(args.matrix))
-    rep = report.build_phase_report(cm, prune=not args.no_prune)
+    rep = report.build_phase_report(cm)
     _emit(args, rep, report.render_phase_table(rep))
     return 0 if rep["phases"] else 1
 
@@ -173,10 +175,11 @@ def cmd_check(args):
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and reused by later calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON output (the default)")
+    plain = argparse.ArgumentParser(add_help=False)  # generate has no table form
+    plain.add_argument("--json", action="store_true", help="JSON output (the default)")
+    plain.add_argument("--quiet", action="store_true", help="suppress output, use the exit code")
+    common = argparse.ArgumentParser(add_help=False, parents=[plain])
     common.add_argument("--table", action="store_true", help="human-readable output")
-    common.add_argument("--quiet", action="store_true", help="suppress output, use the exit code")
 
     parser = argparse.ArgumentParser(
         prog="lgphase",
@@ -186,7 +189,6 @@ def _build_parser():
 
     p = sub.add_parser("phases", parents=[common], help="enumerate all affine phases")
     p.add_argument("matrix", help="path, '-' for stdin, or inline JSON")
-    p.add_argument("--no-prune", action="store_true", help="test every column subset")
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("orbifold", parents=[common], help="orbifold group of one witness")
@@ -200,7 +202,7 @@ def _build_parser():
     p.add_argument("--level", required=True, help="comma-separated rational level")
     p.set_defaults(func=cmd_polytope)
 
-    p = sub.add_parser("generate", parents=[common], help="draw random models with a built-in phase")
+    p = sub.add_parser("generate", parents=[plain], help="draw random models with a built-in phase")
     p.add_argument("--r", type=int, required=True, help="vacuum columns")
     p.add_argument("--n", type=int, required=True, help="coordinate columns")
     p.add_argument("--entry-bound", type=int, default=5)

@@ -22,10 +22,9 @@ Conventions fixed here and relied on elsewhere:
   no entry of the lattice pass outgrows the minors of ``Q``.  The Smith
   form serves the orbifold groups only.
 * Every tableau ``p * B^-1 * M`` of a matrix starts in
-  ``_eliminate(rows, cols)``, on integer rows.  Only :mod:`lgphase.phases`
-  moves one on with ``_exchange``: the subset walk, and the Gale search,
-  whose LP and scan tableaux extend that of ``Q`` or start on an identity
-  block.
+  ``_eliminate(rows, cols)``, on integer rows.  Only the Gale search of
+  :mod:`lgphase.phases` moves one on with ``_exchange``: its LP and scan
+  tableaux extend that of ``Q`` or start on an identity block.
 """
 
 from __future__ import annotations
@@ -251,37 +250,16 @@ def _exchange(t, a, c, p):
     return q
 
 
-def _pivot_in(t, p, basis, cols, free):
-    """Exchange the columns ``cols`` into the tableau ``t`` (pivot ``p``), in place.
-
-    ``basis[a]`` names the column held by row ``a`` (``None`` for a unit
-    vector that no column has replaced yet).  Each column in turn is
-    pivoted into the first row of ``free`` with a nonzero entry in it, and
-    that row leaves ``free``.  Returns ``(pivot, True)``, or
-    ``(pivot, False)`` as soon as a column finds no such row: the target
-    block is then singular, and ``t``, ``basis`` and the pivot describe the
-    nonsingular block reached so far.
-    """
-    free = list(free)
-    for c in cols:
-        a = next((i for i in free if t[i][c]), None)
-        if a is None:
-            return p, False
-        free.remove(a)
-        p = _exchange(t, a, c, p)
-        basis[a] = c
-    return p, True
-
-
 def _eliminate(rows, cols):
     """The tableau of the integer rows ``rows`` with the columns ``cols`` pivoted in, in order.
 
     Column ``c`` is pivoted into the first row that holds no column yet and
     is nonzero in ``c``; a column with no such row depends on those before
-    it and is skipped.  Returns ``(t, p, basis)`` as for :func:`_pivot_in`,
-    with ``t == p * B^-1 * rows`` and ``p == det B``.  Rows that hold no
-    column are zero in every column of ``cols``, so a square block is
-    singular exactly when ``None in basis``.
+    it and is skipped.  Returns ``(t, p, basis)`` with
+    ``t == p * B^-1 * rows`` and ``p == det B``, where ``basis[a]`` names
+    the column held by row ``a`` (``None`` for a unit vector that no column
+    has replaced).  Rows that hold no column are zero in every column of
+    ``cols``, so a square block is singular exactly when ``None in basis``.
 
     >>> _eliminate([[2, 1, 1, 0], [1, 1, 0, 1]], (0, 1))
     ([[1, 0, 1, -1], [0, 1, -1, 2]], 1, [0, 1])

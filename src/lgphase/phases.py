@@ -19,8 +19,9 @@ block is a witness exactly when no entry ``x`` of ``T`` outside the chosen
 columns has ``p * x > 0`` (one rule for the search, :func:`check_witness`
 and the generator), and ``R^-1 Q = T / p`` is its row-reduced matrix.
 
-The search runs on the Gale dual.  Let the columns of an ``N x n`` matrix
-``K`` span ``ker Q``; its rows ``g_1, ..., g_N`` are the Gale vectors.
+The search (:func:`enumerate_phases`) runs on the Gale dual and tries no
+column subsets.  Let the columns of an ``N x n`` matrix ``K`` span
+``ker Q``; its rows ``g_1, ..., g_N`` are the Gale vectors.
 
 Theorem.  ``C`` is a witness exactly when the Gale vectors of the other
 columns are linearly independent and every ``g_i`` is a nonnegative
@@ -209,74 +210,6 @@ def check_witness(cm, chosen):
     )
 
 
-def _revolving_door(n, t):
-    """Every ``t``-subset of ``range(n)`` as an ascending tuple, each one
-    exchange away from the last.
-
-    Knuth's Algorithm R (TAOCP 7.2.1.3), generated lazily.
-
-    >>> list(_revolving_door(4, 2))
-    [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
-    """
-    if t > n:
-        return
-    c = [*range(t), n]  # c[t] is a sentinel
-    yield tuple(c[:t])
-    if t == 0:
-        return
-    while True:
-        if t % 2 and c[0] + 1 < c[1]:
-            c[0] += 1
-        elif t % 2 == 0 and c[0] > 0:
-            c[0] -= 1
-        else:
-            k, decrease = 1, t % 2 == 1
-            while k < t:
-                if decrease and c[k] > k:  # here c[k] == c[k - 1] + 1
-                    c[k - 1], c[k] = k - 1, c[k - 1]
-                    break
-                if not decrease and c[k] + 1 < c[k + 1]:  # here c[k - 1] == k - 1
-                    c[k - 1], c[k] = c[k], c[k] + 1
-                    break
-                k, decrease = k + 1, not decrease
-            else:
-                return
-        yield tuple(c[:t])
-
-
-def _inside_negative_cone(t, p):
-    """True when the tableau ``t == p * B^-1 * Q`` passes :func:`_wrong_sign` off its basis.
-
-    Row ``a`` holds ``p`` in its own basis column and ``0`` in the others,
-    so it passes exactly when that is its only entry that fails.
-    """
-    fails = _wrong_sign(p)
-    return all(sum(map(fails, row)) == 1 for row in t)
-
-
-def _subset_walk(cm):
-    """Every witness among all ``r``-subsets of columns, by the revolving-door walk.
-
-    Each subset differs from the last by one column, so the integer tableau
-    ``p * B^-1 * Q`` of the previous block ``B`` needs one exact pivot, in
-    the row of the leaving column.  A zero pivot entry is ``+-det`` of the
-    new block: that subset is singular and skipped, the tableau stays on
-    the last nonsingular block, and the next subset is reached from there
-    by one pivot per column that differs.  Only the first block is
-    factorized from scratch.  Every subset that passes is verified again
-    by :func:`check_witness`.
-    """
-    t, p, basis = [list(row) for row in cm.reduced.rows], 1, [None] * cm.rank
-    found = []
-    for cols in _revolving_door(cm.num_fields, cm.rank):
-        keep, held = set(cols), set(basis)
-        leaving = [a for a, c in enumerate(basis) if c not in keep]
-        p, ok = linalg._pivot_in(t, p, basis, [c for c in cols if c not in held], leaving)
-        if ok and _inside_negative_cone(t, p):
-            found.append(check_witness(cm, basis))
-    return found
-
-
 def _positive_relation(t, p, basis, free):
     """A point ``x`` of ``ker Q`` with ``x >= 1`` off the coloops, on the columns ``free``.
 
@@ -337,8 +270,9 @@ def _gale_search(cm):
     (:func:`_positive_relation`) finds ``x`` in ``ker Q`` with ``x >= 1``
     off the coloops, whose free part ``psi`` gives ``s_i = psi . g_i``, a
     positive multiple of ``x_i``, on every nonzero ``g_i``; or it proves
-    that the cone is not pointed, so no phase exists.  The points ``g_i / s_i`` lie on one hyperplane, and if
-    a phase exists they span a simplex whose vertices are the extreme rays.
+    that the cone is not pointed, so no phase exists.  The points
+    ``g_i / s_i`` lie on one hyperplane, and if a phase exists they span a
+    simplex whose vertices are the extreme rays.
 
     Each scan then takes a linear function that vanishes on the vertices
     found so far, its largest value over the points, and the lex-max point
@@ -404,28 +338,20 @@ def _complement(cm, cols):
     return [j for j in range(cm.num_fields) if j not in cols]
 
 
-def enumerate_phases(cm, prune=True):
+def enumerate_phases(cm):
     """All witnesses, as a list ordered by lexicographic chosen set.
 
-    With ``prune`` (the default) the witnesses are read off the Gale
-    vectors of ``Q`` (see :func:`_gale_search` and the theorem in the
-    module docstring): ``Q`` has a phase exactly when the cone of its Gale
-    vectors is simplicial, and the witnesses are the complements of one
-    Gale vector from each extreme ray's class.  Fewer than ``r``
-    :func:`candidate_columns` already rule a phase out.  The search costs
-    one LP and ``n`` scans, each one pivot, instead of ``C(N, r)`` pivots.
-
-    Without ``prune`` every ``r``-subset of columns is tested by the
-    revolving-door walk, one pivot per subset (:func:`_subset_walk`); it
-    shares only the pivot step and :func:`check_witness` with the Gale
-    search, and serves as its oracle.  The two settings return identical lists.
+    The witnesses are read off the Gale vectors of ``Q`` (see
+    :func:`_gale_search` and the theorem in the module docstring): ``Q`` has
+    a phase exactly when the cone of its Gale vectors is simplicial, and the
+    witnesses are the complements of one Gale vector from each extreme
+    ray's class.  Fewer than ``r`` :func:`candidate_columns` already rule a
+    phase out.  The search costs one LP and ``n`` scans, each one pivot,
+    instead of one pivot for each of the ``C(N, r)`` column subsets.
     """
-    if not prune:
-        found = _subset_walk(cm)
-    elif len(candidate_columns(cm)) < cm.rank:
-        found = []
-    else:
-        found = _gale_search(cm)
+    if len(candidate_columns(cm)) < cm.rank:
+        return []
+    found = _gale_search(cm)
     found.sort(key=lambda w: w.chosen)
     return found
 

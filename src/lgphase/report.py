@@ -6,13 +6,12 @@ rationals), so arbitrarily large values survive a JSON round trip in any
 consumer.  Parsing accepts the same forms back.
 
 Output is lossless: the interpreter's digit limit for ``int`` <-> ``str``
-conversion is lifted for the whole conversion (see :func:`lossless_digits`)
-and restored afterwards, so parsing still refuses oversized input.
+conversion is lifted for the whole of :func:`stringify` and restored
+afterwards, so parsing still refuses oversized input.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -30,7 +29,6 @@ __all__ = [
     "build_phase_report",
     "stringify",
     "render_phase_table",
-    "lossless_digits",
 ]
 
 WARN_RANK_DEFICIENT = "rank_deficient_gauge_group"
@@ -41,23 +39,6 @@ _FALLBACK_DIGIT_LIMIT = 4300
 def _digit_limit():
     """The interpreter's digit limit for ``int`` <-> ``str``; 0 when there is none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-@contextlib.contextmanager
-def lossless_digits():
-    """Lift the interpreter's ``int`` <-> ``str`` digit limit, restoring it on exit.
-
-    The limit is interpreter-wide, so another thread parsing meanwhile
-    would see it lifted too.
-    """
-    limit = _digit_limit()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def _int_from_cell(cell, where):
@@ -171,10 +152,18 @@ def stringify(value):
 
     Matrices become lists of row lists, tuples become lists and dicts keep
     their keys; ``str``, ``bool`` and ``None`` pass through.  The digit
-    limit is lifted for the whole conversion.
+    limit is lifted for the whole conversion and restored afterwards; it is
+    interpreter-wide, so another thread parsing meanwhile would see it
+    lifted too.
     """
-    with lossless_digits():
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
         return _text(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _text(value):
@@ -198,9 +187,9 @@ def _orbifold_section(od):
     }
 
 
-def build_phase_report(cm, prune=True):
+def build_phase_report(cm):
     """Full phase analysis of a charge matrix as a JSON-ready dict."""
-    witnesses = phases.enumerate_phases(cm, prune=prune)
+    witnesses = phases.enumerate_phases(cm)
     full_rank = cm.rank == cm.rho
     warnings = [] if full_rank else [WARN_RANK_DEFICIENT]
     phase_entries = []

@@ -17,13 +17,21 @@ Hermite form, that the orbifold tests compare actions with.
 class; it shares only the general Hermite form with
 ``canonical_torus_action``.  ``swap_fixes_all_rows`` tests a transposition
 on every basis row, the oracle for the generator-only test.
+``subset_walk`` is the oracle of the Gale search: it tests every
+``r``-subset of columns in revolving-door order and shares only the pivot
+step ``linalg._exchange``, the sign rule ``phases._wrong_sign`` and
+``phases.check_witness`` with it, each called through its module so that
+a test can count the calls.  ``lossless_digits`` lifts the digit limit
+for reading long output back.
 """
 
+import contextlib
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from lgphase import IntMatrix, RatMatrix, candidate_columns, hermite_normal_form
+from lgphase import IntMatrix, RatMatrix, candidate_columns, hermite_normal_form, linalg, phases
 from lgphase.linalg import _smith_general
 
 
@@ -100,6 +108,106 @@ def oracle_phases(cm, prune):
         if verdict[0] == "witness":
             found.append((combo, verdict[1]))
     return found
+
+
+def revolving_door(n, t):
+    """Every ``t``-subset of ``range(n)`` as an ascending tuple, each one
+    exchange away from the last.
+
+    Knuth's Algorithm R (TAOCP 7.2.1.3), generated lazily.
+    """
+    if t > n:
+        return
+    c = [*range(t), n]  # c[t] is a sentinel
+    yield tuple(c[:t])
+    if t == 0:
+        return
+    while True:
+        if t % 2 and c[0] + 1 < c[1]:
+            c[0] += 1
+        elif t % 2 == 0 and c[0] > 0:
+            c[0] -= 1
+        else:
+            k, decrease = 1, t % 2 == 1
+            while k < t:
+                if decrease and c[k] > k:  # here c[k] == c[k - 1] + 1
+                    c[k - 1], c[k] = k - 1, c[k - 1]
+                    break
+                if not decrease and c[k] + 1 < c[k + 1]:  # here c[k - 1] == k - 1
+                    c[k - 1], c[k] = c[k], c[k] + 1
+                    break
+                k, decrease = k + 1, not decrease
+            else:
+                return
+        yield tuple(c[:t])
+
+
+def _pivot_in(t, p, basis, cols, free):
+    """Exchange the columns ``cols`` into the tableau ``t`` (pivot ``p``), in place.
+
+    ``basis[a]`` names the column held by row ``a`` (``None`` for a unit
+    vector that no column has replaced yet).  Each column in turn is
+    pivoted into the first row of ``free`` with a nonzero entry in it, and
+    that row leaves ``free``.  Returns ``(pivot, True)``, or
+    ``(pivot, False)`` as soon as a column finds no such row: the target
+    block is then singular, and ``t``, ``basis`` and the pivot describe the
+    nonsingular block reached so far.
+    """
+    free = list(free)
+    for c in cols:
+        a = next((i for i in free if t[i][c]), None)
+        if a is None:
+            return p, False
+        free.remove(a)
+        p = linalg._exchange(t, a, c, p)
+        basis[a] = c
+    return p, True
+
+
+def _inside_negative_cone(t, p):
+    """True when the tableau ``t == p * B^-1 * Q`` passes ``phases._wrong_sign`` off its basis.
+
+    Row ``a`` holds ``p`` in its own basis column and ``0`` in the others,
+    so it passes exactly when that is its only entry that fails.
+    """
+    fails = phases._wrong_sign(p)
+    return all(sum(map(fails, row)) == 1 for row in t)
+
+
+def subset_walk(cm):
+    """Every witness among all ``r``-subsets of columns, by the revolving-door walk.
+
+    Each subset differs from the last by one column, so the integer tableau
+    ``p * B^-1 * Q`` of the previous block ``B`` needs one exact pivot, in
+    the row of the leaving column.  A zero pivot entry is ``+-det`` of the
+    new block: that subset is singular and skipped, the tableau stays on
+    the last nonsingular block, and the next subset is reached from there
+    by one pivot per column that differs.  Only the first block is
+    factorized from scratch.  Every subset that passes is verified again
+    by ``phases.check_witness``.  Returns the witnesses ordered by
+    lexicographic chosen set, as :func:`lgphase.enumerate_phases` does.
+    """
+    t, p, basis = [list(row) for row in cm.reduced.rows], 1, [None] * cm.rank
+    found = []
+    for cols in revolving_door(cm.num_fields, cm.rank):
+        keep, held = set(cols), set(basis)
+        leaving = [a for a, c in enumerate(basis) if c not in keep]
+        p, ok = _pivot_in(t, p, basis, [c for c in cols if c not in held], leaving)
+        if ok and _inside_negative_cone(t, p):
+            found.append(phases.check_witness(cm, basis))
+    found.sort(key=lambda w: w.chosen)
+    return found
+
+
+@contextlib.contextmanager
+def lossless_digits():
+    """Lift the interpreter's ``int`` <-> ``str`` digit limit, restoring it on exit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def random_nonsingular(rng, n, bound):

@@ -10,7 +10,13 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import cokernel_order_bruteforce, rand_matrix, random_nonsingular, torus_subgroup_lattice
+from conftest import (
+    cokernel_order_bruteforce,
+    rand_matrix,
+    random_nonsingular,
+    subset_walk,
+    torus_subgroup_lattice,
+)
 from lgphase import (
     GeneratorConfig,
     IntMatrix,
@@ -73,7 +79,7 @@ def test_criterion_02_canonical_bundle_over_p1_x_p1(capsys):
         cm = make_charge_matrix(KP1P1)
         assert candidate_columns(cm) == (4,)
         assert enumerate_phases(cm) == []
-        assert enumerate_phases(cm, prune=False) == []
+        assert subset_walk(cm) == []
 
 
 def test_criterion_03_resolved_weighted_projective_space(capsys):
@@ -256,7 +262,7 @@ def test_criterion_10_robustness_suite(capsys):
             base = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm)]
 
             # pruning must be an optimization, never a filter
-            full = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune=False)]
+            full = [(w.chosen, w.row_reduced) for w in subset_walk(cm)]
             assert base == full
 
             # appended dependent rows change nothing
@@ -278,7 +284,7 @@ def test_criterion_10_robustness_suite(capsys):
             dup = rng.randrange(cols)
             dup_rows = [list(r) + [r[dup]] for r in m.rows]
             dup_cm = make_charge_matrix(IntMatrix(dup_rows, ncols=cols + 1))
-            for prune in (True, False):
-                for w in enumerate_phases(dup_cm, prune=prune):
+            for search in (enumerate_phases, subset_walk):
+                for w in search(dup_cm):
                     assert dup not in w.chosen
                     assert cols not in w.chosen

@@ -1,15 +1,18 @@
 """Command line behavior: exit codes, JSON payloads, and input formats."""
 
+import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lgphase import IntMatrix, build_phase_report, enumerate_phases, linalg, make_charge_matrix
+from conftest import lossless_digits
+from lgphase import IntMatrix, build_phase_report, cli, enumerate_phases, linalg, make_charge_matrix
 from lgphase.cli import main
-from lgphase.report import lossless_digits
 
 TWOLG_TEXT = '{"Q": [[0,1,1,1,1,-4],[1,0,0,0,-2,0]]}'
 KP1P1_TEXT = '{"Q": [[1,1,0,0,-2],[0,0,1,1,-2]]}'
@@ -106,10 +109,10 @@ class TestPhasesCommand:
         code, out = run(capsys, ["phases", "-", "--json"])
         assert code == 0
 
-    def test_no_prune_same_result(self, capsys, twolg_file):
-        code1, out1 = run(capsys, ["phases", twolg_file, "--json"])
-        code2, out2 = run(capsys, ["phases", twolg_file, "--json", "--no-prune"])
-        assert (code1, out1) == (code2, out2)
+    def test_no_prune_is_refused(self, capsys, twolg_file):
+        # the Gale search is the only search; the subset walk it replaced
+        # lives on as the tests' oracle
+        assert run(capsys, ["phases", twolg_file, "--json", "--no-prune"]) == (2, "")
 
     def test_rank_deficient_warning(self, capsys):
         code, out = run(capsys, ["phases", "[[1,1,-2],[2,2,-4]]", "--json"])
@@ -269,6 +272,10 @@ class TestErrorPaths:
         # the later of two equal options wins
         assert_usage_error(capsys, ["generate", "--r", "1", "--n", "2", option])
 
+    def test_generate_table_exit_two(self, capsys):
+        # generate prints JSON lines only; it has no table form to select
+        assert run(capsys, ["generate", "--r", "1", "--n", "0", "--table"]) == (2, "")
+
     def test_zero_count_prints_nothing(self, capsys):
         assert run(capsys, ["generate", "--r", "1", "--n", "2", "--count", "0"]) == (0, "")
 
@@ -306,7 +313,7 @@ class TestRepeatedCalls:
     def test_options_do_not_leak_between_calls(self, capsys, twolg_file):
         # the parser is built once per process; every call must start from
         # the defaults again
-        code, out = run(capsys, ["phases", twolg_file, "--quiet", "--no-prune"])
+        code, out = run(capsys, ["phases", twolg_file, "--quiet", "--table"])
         assert (code, out) == (0, "")
         code, out = run(capsys, ["phases", twolg_file])
         assert code == 0
@@ -501,3 +508,18 @@ class TestCheckCommand:
         code, out = run(capsys, ["check", twolg_file, "--monomials", str(mono),
                                  "--json"])
         assert code == 1
+
+
+class TestDocumentedOptions:
+    def test_every_documented_option_is_accepted(self):
+        # every --option in the README, outside the sections that quote pip
+        # and pytest, and in the cli docstring, exists on some subcommand
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sections = re.split(r"^## ", readme, flags=re.M)
+        text = "".join(s for s in sections if not s.startswith(("Install", "Tests"))) + cli.__doc__
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+        assert {"--table", "--json", "--quiet", "--chosen", "--level"} <= documented
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {opt for p in sub.choices.values() for opt in p._option_string_actions}
+        assert sorted(documented - accepted) == []

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import cramer_check, oracle_phases, rand_matrix
+from conftest import cramer_check, oracle_phases, rand_matrix, revolving_door, subset_walk
 from lgphase import (
     DimensionMismatch,
     EmptyMatrix,
@@ -235,23 +235,31 @@ class TestEnumerate:
                 continue
             cm = make_charge_matrix(m)
             fast = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm)]
-            slow = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune=False)]
+            slow = [(w.chosen, w.row_reduced) for w in subset_walk(cm)]
             assert fast == slow
 
     def test_agrees_with_cramer_oracle(self):
         for cm in awkward_matrices(seed=13, count=150):
             expected = oracle_phases(cm, prune=False)
             assert oracle_phases(cm, prune=True) == expected
-            for prune in (True, False):
-                got = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune)]
-                assert got == expected, (cm.matrix, prune)
+            for search in (enumerate_phases, subset_walk):
+                got = [(w.chosen, w.row_reduced) for w in search(cm)]
+                assert got == expected, (cm.matrix, search.__name__)
+
+    def test_revolving_door_order(self):
+        assert list(revolving_door(4, 2)) == [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
+        for n in range(7):
+            for t in range(n + 2):
+                walk = list(revolving_door(n, t))
+                assert sorted(walk) == list(combinations(range(n), t))
+                assert all(len(set(a) - set(b)) == 1 for a, b in zip(walk, walk[1:]))
 
     def test_moment_curve_one_pivot_per_subset(self, monkeypatch):
         # columns (1, t, ..., t^4): every 5-subset is nonsingular, and none is
         # a witness, since every column has the same sign in the first row
         cm = make_charge_matrix(MOMENT_CURVE)
         counts = count_pivots_and_checks(monkeypatch)
-        assert enumerate_phases(cm, prune=False) == []
+        assert subset_walk(cm) == []
         # one factorization of the first block (5 pivots), then one pivot per subset
         assert counts == {"pivots": 5 + comb(12, 5) - 1, "checks": 0}
 
@@ -282,7 +290,7 @@ class TestEnumerate:
         for seed in range(3):
             cm = make_charge_matrix(planted_model(random.Random(seed), 5, 12))
             fast = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm)]
-            slow = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune=False)]
+            slow = [(w.chosen, w.row_reduced) for w in subset_walk(cm)]
             assert fast == slow and fast
 
     def test_check_witness_runs_once_per_witness(self, monkeypatch):
@@ -291,7 +299,7 @@ class TestEnumerate:
         monkeypatch.setattr(
             phases, "check_witness", lambda cm, c: calls.append(tuple(sorted(c))) or check(cm, c)
         )
-        ws = enumerate_phases(make_charge_matrix(TWOLG), prune=False)
+        ws = enumerate_phases(make_charge_matrix(TWOLG))
         assert [w.chosen for w in ws] == [(0, 5), (4, 5)]
         assert sorted(calls) == [(0, 5), (4, 5)]
 
@@ -326,7 +334,7 @@ class TestPositiveRelation:
         point = [x[j] for j in range(cm.num_fields)]
         assert all(e > 0 for e in point)
         assert all(sum(q * e for q, e in zip(row, point)) == 0 for row in self.TIE)
-        assert enumerate_phases(cm) == enumerate_phases(cm, prune=False) == []
+        assert enumerate_phases(cm) == subset_walk(cm) == []
 
 
 class TestSuperpotential:

@@ -9,7 +9,7 @@ from itertools import product  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import oracle_phases  # noqa: E402
+from conftest import oracle_phases, subset_walk  # noqa: E402
 from lgphase import enumerate_phases, make_charge_matrix  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -33,8 +33,8 @@ def charge_matrices(draw, max_rows=4, max_extra=4):
 def test_pruned_walk_equals_unpruned_and_cramer_oracle(rows):
     cm = make_charge_matrix(rows)
     expected = oracle_phases(cm, prune=False)
-    for prune in (True, False):
-        assert [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune)] == expected
+    for search in (enumerate_phases, subset_walk):
+        assert [(w.chosen, w.row_reduced) for w in search(cm)] == expected
 
 
 def degenerate_model(rng):
@@ -66,7 +66,7 @@ def test_witnesses_are_the_product_of_gale_ray_classes(seed):
     rng = random.Random(seed)
     for _ in range(10):
         cm = make_charge_matrix(degenerate_model(rng))
-        walk = [(w.chosen, w.row_reduced) for w in enumerate_phases(cm, prune=False)]
+        walk = [(w.chosen, w.row_reduced) for w in subset_walk(cm)]
         assert [(w.chosen, w.row_reduced) for w in enumerate_phases(cm)] == walk
         if not walk:
             continue
