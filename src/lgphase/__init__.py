@@ -41,9 +41,7 @@ from .linalg import (
     determinant,
     hermite_normal_form,
     integer_kernel,
-    invariant_factors,
     invert_rational,
-    rank,
     row_space_reduce,
     smith_normal_form,
     solve_exact,
@@ -83,11 +81,9 @@ __all__ = [
     "RatMatrix",
     "SmithDecomposition",
     "xgcd",
-    "rank",
     "determinant",
     "invert_rational",
     "smith_normal_form",
-    "invariant_factors",
     "hermite_normal_form",
     "integer_kernel",
     "row_space_reduce",

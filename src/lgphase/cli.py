@@ -7,7 +7,7 @@ prints JSON (``--json``, the default) or nothing (``--quiet``); all but
 ``generate`` also print a table under ``--table``.  Exit codes: 0 when
 phases were found or a check passed, 1 when none were found or a check
 failed (including mathematical errors on well-formed input), 2 on usage
-or parse errors.
+or parse errors, each printed as one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -172,16 +172,23 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ParseError`; subparsers inherit it."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and reused by later calls."""
-    plain = argparse.ArgumentParser(add_help=False)  # generate has no table form
+    plain = _Parser(add_help=False)  # generate has no table form
     plain.add_argument("--json", action="store_true", help="JSON output (the default)")
     plain.add_argument("--quiet", action="store_true", help="suppress output, use the exit code")
-    common = argparse.ArgumentParser(add_help=False, parents=[plain])
+    common = _Parser(add_help=False, parents=[plain])
     common.add_argument("--table", action="store_true", help="human-readable output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lgphase",
         description="Decide and analyze affine Landau-Ginzburg phases of a charge matrix.",
     )
@@ -224,10 +231,9 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit:  # --help, after printing the help text
+        return 0
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -41,11 +41,9 @@ __all__ = [
     "RatMatrix",
     "SmithDecomposition",
     "xgcd",
-    "rank",
     "determinant",
     "invert_rational",
     "smith_normal_form",
-    "invariant_factors",
     "hermite_normal_form",
     "integer_kernel",
     "row_space_reduce",
@@ -159,11 +157,6 @@ class _Matrix:
         zero = cls._convert(0)
         return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), ncols=n)
 
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        zero = cls._convert(0)
-        return cls(tuple((zero,) * ncols for _ in range(nrows)), ncols=ncols)
-
     def transpose(self):
         if self._rows and self._ncols:
             return type(self)(tuple(zip(*self._rows)))
@@ -217,17 +210,9 @@ class RatMatrix(_Matrix):
     __slots__ = ()
     _convert = staticmethod(_check_fraction)
 
-    def is_integral(self):
-        return all(e.denominator == 1 for r in self._rows for e in r)
-
-    def to_integer(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(tuple(tuple(int(e) for e in r) for r in self._rows), ncols=self._ncols)
-
 
 # ---------------------------------------------------------------------------
-# one fraction-free tableau, one entry point: rank, determinant, inverse, solve
+# one fraction-free tableau, one entry point: determinant, inverse, solve
 
 
 def _exchange(t, a, c, p):
@@ -283,26 +268,21 @@ def _integer_row(row):
     return [e.numerator * (s // e.denominator) for e in row]
 
 
-def rank(m):
-    """Rank of an integer or rational matrix, by exact fraction-free elimination."""
-    _, _, basis = _eliminate([_integer_row(row) for row in m.rows], range(m.ncols))
-    return len(basis) - basis.count(None)
-
-
 def determinant(m):
     """Determinant of a square integer matrix, by exact fraction-free elimination.
 
     The tableau ends on ``B``, the columns of ``m`` in the order ``basis``,
-    with ``p == det B``; the parity of that order gives the sign.  A
-    ``RatMatrix`` with a fractional entry raises ``ValueError``.
+    with ``p == det B``; the parity of that order gives the sign.  Any
+    other argument than an :class:`IntMatrix` raises ``TypeError``: the
+    exact division of the pivot step holds for integer entries only.
 
     >>> determinant(IntMatrix([[1, -4], [-2, 0]]))
     -8
     """
+    if not isinstance(m, IntMatrix):
+        raise TypeError(f"determinant needs an IntMatrix, got {type(m).__name__}")
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant needs a square matrix, got {m.shape}")
-    if isinstance(m, RatMatrix):
-        m = m.to_integer()
     _, p, basis = _eliminate(m.rows, range(m.ncols))
     if None in basis:
         return 0
@@ -493,12 +473,6 @@ def smith_normal_form(m):
         d=IntMatrix(d, ncols=m.ncols),
         v=IntMatrix(v, ncols=m.ncols),
     )
-
-
-def invariant_factors(m):
-    """Nonzero Smith invariant factors of any integer matrix, ascending."""
-    _, d, _, rnk = _smith_general(m)
-    return tuple(d[k][k] for k in range(rnk))
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,7 @@ class HerbstWitness:
     @property
     def coord_columns(self):
         """Indices of the Landau-Ginzburg coordinate fields, ascending."""
-        chosen = set(self.chosen)
-        return tuple(j for j in range(self.charge.num_fields) if j not in chosen)
+        return _complement(self.charge, self.chosen)
 
 
 def make_charge_matrix(q):
@@ -192,7 +191,7 @@ def check_witness(cm, chosen):
     if None in basis:
         raise SingularChoice(f"columns {idx} are linearly dependent")
     t = [row for _, row in sorted(zip(basis, t))]
-    rest = tuple(j for j in range(cm.num_fields) if j not in set(idx))
+    rest = _complement(cm, idx)
     fails = _wrong_sign(p)
     for j in rest:
         for a, row in enumerate(t):
@@ -289,8 +288,7 @@ def _gale_search(cm):
     vector from each class, and each is verified.
     """
     t, p, basis = linalg._eliminate(cm.reduced.rows, cm.pivot_columns)
-    held = set(basis)
-    free = [j for j in range(cm.num_fields) if j not in held]
+    free = _complement(cm, basis)
     psi = _positive_relation(t, p, basis, free)
     if psi is None:
         return []
@@ -334,8 +332,9 @@ def _lex_max(keys, scales):
 
 
 def _complement(cm, cols):
-    """The columns of ``cm`` not in ``cols``, ascending."""
-    return [j for j in range(cm.num_fields) if j not in cols]
+    """The columns of ``cm`` not in ``cols``, ascending, as a tuple."""
+    cols = set(cols)
+    return tuple(j for j in range(cm.num_fields) if j not in cols)
 
 
 def enumerate_phases(cm):

@@ -4,12 +4,14 @@ The brute-force oracles here deliberately avoid the package's own Smith and
 Hermite code paths: the cokernel oracle runs on a local fraction inverse
 and set closure, the determinant oracle and the Herbst sign-test oracles
 (``cramer_check``, ``oracle_phases``) on permutation expansion, the
-linear-system oracle on a local ``Fraction`` Gauss-Jordan, so agreement is
-a genuine cross-check rather than a tautology.  The lattice oracles
-``smith_integer_kernel`` and ``smith_row_space_reduce`` do use the
-package's Smith and general Hermite forms: they are the route the package
-took before its lattice pass ran on the fraction-free tableau, a second
-algorithm that shares no code with that pass.  ``torus_subgroup_lattice``
+linear-system oracle and ``fraction_rank`` on a local ``Fraction``
+Gauss-Jordan, so agreement is a genuine cross-check rather than a
+tautology.  The lattice oracles ``smith_integer_kernel`` and
+``smith_row_space_reduce`` do use the package's Smith and general Hermite
+forms: they are the route the package took before its lattice pass ran on
+the fraction-free tableau, a second algorithm that shares no code with
+that pass; ``smith_factors`` reads the invariant factors of any matrix off
+the same general Smith form.  ``torus_subgroup_lattice``
 is no oracle but an encoding of torus subgroups, built on the package's
 Hermite form, that the orbifold tests compare actions with.
 ``brute_canonical_torus_action`` finds the axis scales by a divisor scan
@@ -290,6 +292,12 @@ def fraction_solve(rows, rhs, nc):
     return t, tuple(x)
 
 
+def fraction_rank(rows):
+    """Rank of a matrix given as a sequence of rows, by :func:`fraction_solve`."""
+    rows = list(rows)
+    return fraction_solve(rows, [0] * len(rows), len(rows[0]) if rows else 0)[0]
+
+
 def torus_subgroup_lattice(rows, orders, num_coords):
     """Canonical pair encoding ``L = Z^n + sum_a Z * row_a / d_a`` exactly.
 
@@ -445,6 +453,12 @@ def smith_integer_kernel(m):
     ncols = m.ncols
     vectors = tuple(tuple(v[i][j] for i in range(ncols)) for j in range(rnk, ncols))
     return hermite_normal_form(IntMatrix(vectors, ncols=ncols)).transpose()
+
+
+def smith_factors(m):
+    """The nonzero Smith invariant factors of any integer matrix, ascending."""
+    _, d, _, rnk = _smith_general(m)
+    return tuple(d[k][k] for k in range(rnk))
 
 
 def smith_row_space_reduce(m):

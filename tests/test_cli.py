@@ -112,7 +112,7 @@ class TestPhasesCommand:
     def test_no_prune_is_refused(self, capsys, twolg_file):
         # the Gale search is the only search; the subset walk it replaced
         # lives on as the tests' oracle
-        assert run(capsys, ["phases", twolg_file, "--json", "--no-prune"]) == (2, "")
+        assert_usage_error(capsys, ["phases", twolg_file, "--json", "--no-prune"])
 
     def test_rank_deficient_warning(self, capsys):
         code, out = run(capsys, ["phases", "[[1,1,-2],[2,2,-4]]", "--json"])
@@ -252,10 +252,19 @@ class TestErrorPaths:
         assert_usage_error(capsys, ["phases", matrix])
 
     def test_unknown_subcommand_exit_two(self, capsys):
-        assert main(["frobnicate"]) == 2
+        assert_usage_error(capsys, ["frobnicate"])
+
+    def test_no_subcommand_exit_two(self, capsys):
+        assert_usage_error(capsys, [])
 
     def test_missing_required_option_exit_two(self, capsys, twolg_file):
-        assert main(["check", twolg_file]) == 2
+        assert_usage_error(capsys, ["check", twolg_file])
+        assert_usage_error(capsys, ["orbifold", twolg_file])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["polytope", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 0 and out.startswith("usage: lgphase")
 
     @pytest.mark.parametrize("command", ["orbifold", "polytope"])
     @pytest.mark.parametrize("chosen", ["5", "4,5,0", "5,5", "-1,5", "4,6", ""])
@@ -274,7 +283,7 @@ class TestErrorPaths:
 
     def test_generate_table_exit_two(self, capsys):
         # generate prints JSON lines only; it has no table form to select
-        assert run(capsys, ["generate", "--r", "1", "--n", "0", "--table"]) == (2, "")
+        assert_usage_error(capsys, ["generate", "--r", "1", "--n", "0", "--table"])
 
     def test_zero_count_prints_nothing(self, capsys):
         assert run(capsys, ["generate", "--r", "1", "--n", "2", "--count", "0"]) == (0, "")

@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from conftest import smith_integer_kernel, smith_row_space_reduce
-from lgphase import IntMatrix, integer_kernel, rank, row_space_reduce
+from conftest import fraction_rank, smith_integer_kernel, smith_row_space_reduce
+from lgphase import IntMatrix, integer_kernel, row_space_reduce
 from lgphase import linalg
 
 KINDS = (
@@ -57,7 +57,7 @@ def awkward_matrix(rng, kind):
                 for coeffs in ([rng.randint(-2, 2) for _ in base] for _ in range(rho))]
     elif kind == "full column rank":
         n = rng.randint(1, rho)
-        while rank(IntMatrix(rows := draw(rho, n), ncols=n)) < n:
+        while fraction_rank(rows := draw(rho, n)) < n:
             pass
     return IntMatrix(rows, ncols=n)
 

@@ -1,4 +1,5 @@
-"""The public surface: every exported name and every benchmark-traced function resolves."""
+"""The public surface: every exported name resolves and has a caller, and every
+benchmark-traced function resolves."""
 
 import ast
 import importlib
@@ -7,6 +8,8 @@ from pathlib import Path
 import lgphase
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(lgphase.__file__).resolve().parent
+MODULES = ("cli", "cones", "errors", "generate", "linalg", "orbifold", "phases", "report")
 
 
 def traced_functions():
@@ -23,9 +26,31 @@ def traced_functions():
 def test_every_exported_name_resolves():
     missing = [name for name in lgphase.__all__ if not hasattr(lgphase, name)]
     assert missing == []
-    for module in ("cli", "cones", "errors", "generate", "linalg", "orbifold", "phases", "report"):
+    for module in MODULES:
         mod = importlib.import_module(f"lgphase.{module}")
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], module
+
+
+def test_every_exported_name_has_a_caller():
+    # a caller loads the name bare or as ``<module>.name``; docstrings, the
+    # ``__all__`` strings and attributes of other objects (``cm.rank``) do not count
+    loads = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in MODULES):
+                loads.add(f"{node.value.id}.{node.attr}")
+    uncalled = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in importlib.import_module(f"lgphase.{module}").__all__
+        if name not in loads and f"{module}.{name}" not in loads
+    ]
+    assert uncalled == []
 
 
 def test_every_traced_function_resolves():
