@@ -87,7 +87,7 @@ def cmd_orbifold(args):
     })
     table = None
     if args.table:
-        chosen = f"chosen columns: {', '.join(payload['chosen'])}"
+        chosen = f"chosen columns: {report._items(payload['chosen'])}"
         table = "\n".join([chosen, *report._orbifold_lines(payload, "")])
     _emit(args, payload, table)
     return 0
@@ -120,15 +120,15 @@ def cmd_polytope(args):
 def _polytope_table(payload, simplicial):
     """The ``--table`` text of a stringified :func:`cmd_polytope` payload."""
     lines = [
-        f"chosen columns: {', '.join(payload['chosen'])}",
-        f"level: {', '.join(payload['level'])}",
+        f"chosen columns: {report._items(payload['chosen'])}",
+        f"level: {report._items(payload['level'])}",
         f"membership: {payload['membership']}",
     ]
     if payload["half_spaces"] is not None:
-        lines.append(f"lift: {', '.join(payload['lift'])}")
+        lines.append(f"lift: {report._items(payload['lift'])}")
         lines.append("half-spaces (normal | offset):")
         for hs in payload["half_spaces"]:
-            lines.append("    " + "  ".join(hs["normal"]) + "  |  " + hs["offset"])
+            lines.append(f"    {'  '.join(hs['normal']) or '(empty)'}  |  {hs['offset']}")
         lines.append(f"simplicial cone: {'yes' if simplicial else 'no'}")
     else:
         lines.append("level is not interior to the phase cone; no verdict")

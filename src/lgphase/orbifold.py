@@ -24,15 +24,15 @@ tail of row ``j`` modulo the rows below it, read one column at a time.
 The permutation search skips arrangements that differ by a lattice
 automorphism: coordinates whose transposition fixes the lattice form
 blocks, equal blocks that swap wholesale form groups, and only distinct
-sequences of block labels up to relabeling within a group are tried.  A
-swap is tested on the generators of the action alone.  The form itself is
-the one a search over every permutation would return.
+sequences of block labels up to relabeling within a group are tried, one
+at a time, in memory linear in ``n``.  A swap is tested on the generators
+of the action alone.  The form itself is the one a search over every
+permutation would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, lcm, prod
 
 from . import linalg
@@ -173,64 +173,65 @@ def _swap_fixes(hnf, gens, xs, ys):
     return True
 
 
-def _multiset_permutations(items):
-    """Distinct orderings of ``items`` in lexicographic order, by next-permutation."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        k = len(a) - 1
-        while a[k] <= a[i]:
-            k -= 1
-        a[i], a[k] = a[k], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
+def _arrangements(base, gens, classes):
+    """Column orders of the arrangements that can give distinct Hermite forms, one at a time.
 
-
-def _class_arrangements(base, gens, cls):
-    """Orderings of one equal-order class that can give distinct Hermite forms.
-
-    Coordinates whose transposition fixes the lattice form blocks (the
-    relation is an equivalence: ``(i k) = (i j)(j k)(i j)``).  Permuting
-    inside a block is an automorphism, so only the sequence of block labels
-    matters; each distinct sequence is realized once, filling every block's
-    slots with its members in increasing order.  Likewise blocks of equal
-    size whose wholesale swap (``k``-th member with ``k``-th member) fixes
-    the lattice form groups.  Swapping two labels of a group in a sequence
-    swaps its columns by such an automorphism, so the form is the same, and
-    only sequences in which each group's labels first appear in increasing
-    order are kept.
+    Coordinates of one class whose transposition fixes the lattice form
+    blocks (the relation is an equivalence: ``(i k) = (i j)(j k)(i j)``).
+    Permuting inside a block is an automorphism, so only the sequence of
+    block labels matters, and each block fills its slots with its members
+    in increasing order.  Blocks of equal size whose wholesale swap
+    (``k``-th member with ``k``-th member) fixes the lattice form groups;
+    swapping two labels of a group is such an automorphism, so a block is
+    placed only after the block before it in its group.  The walk tries
+    labels in increasing order, position by position and class after
+    class, and holds only the current sequence, in lists rather than on
+    the call stack.
     """
     blocks = []
-    labels = []
-    for j in cls:
-        for b, block in enumerate(blocks):
-            if _swap_fixes(base, gens, block[:1], [j]):
-                block.append(j)
-                labels.append(b)
+    after = []  # the block before each block in its group, or -1
+    slots = []  # the labels of each position's class
+    for cls in classes:
+        first = len(blocks)
+        for j in cls:
+            for block in blocks[first:]:
+                if _swap_fixes(base, gens, block[:1], [j]):
+                    block.append(j)
+                    break
+            else:
+                blocks.append([j])
+        groups = []
+        for b in range(first, len(blocks)):
+            for group in groups:
+                lead = blocks[group[0]]
+                if len(lead) == len(blocks[b]) and _swap_fixes(base, gens, lead, blocks[b]):
+                    after.append(group[-1])
+                    group.append(b)
+                    break
+            else:
+                groups.append([b])
+                after.append(-1)
+        slots += [range(first, len(blocks))] * len(cls)
+    used = [0] * len(blocks)
+    cols = [0] * len(slots)
+    slots.append(())  # nothing to try past the last position
+    placed = []  # the block at each filled position
+    tries = [iter(slots[0])]  # the labels left to try at each open position
+    while tries:
+        for b in tries[-1]:
+            if used[b] < len(blocks[b]) and (after[b] < 0 or used[after[b]]):
                 break
         else:
-            labels.append(len(blocks))
-            blocks.append([j])
-    groups = []
-    for b, block in enumerate(blocks):
-        for group in groups:
-            first = blocks[group[0]]
-            if len(first) == len(block) and _swap_fixes(base, gens, first, block):
-                group.append(b)
-                break
-        else:
-            groups.append([b])
-    pairs = [(a, b) for group in groups for a, b in zip(group, group[1:])]
-    out = []
-    for seq in _multiset_permutations(labels):
-        if all(seq.index(a) < seq.index(b) for a, b in pairs):
-            members = [iter(block) for block in blocks]
-            out.append(tuple(next(members[b]) for b in seq))
-    return out
+            tries.pop()
+            if placed:
+                used[placed.pop()] -= 1
+            continue
+        cols[len(placed)] = blocks[b][used[b]]
+        used[b] += 1
+        placed.append(b)
+        if len(placed) == len(cols):
+            yield tuple(cols)
+        tries.append(iter(slots[len(placed)]))
 
 
 def _rescaled_lattice(rows, orders, n):
@@ -277,8 +278,10 @@ def canonical_torus_action(rows, orders, num_coords):
        of those blocks are tried, up to wholesale swaps of equal blocks
        that fix the lattice (automorphism pruning in the sense of McKay &
        Piperno, 2014).  A swap is tested on the ``r`` rescaled generators
-       alone (:func:`_swap_fixes`).  The minimum is the same as over every
-       permutation; a class with no such swaps still costs ``k!`` forms.
+       alone (:func:`_swap_fixes`), and the arrangements come one at a
+       time (:func:`_arrangements`), in memory linear in ``n``.  The
+       minimum is the same as over every permutation; a class with no
+       such swaps still costs ``k!`` forms.
     """
     rows = [tuple(map(linalg._check_int, row)) for row in rows]
     orders = [linalg._check_int(d) for d in orders]
@@ -296,15 +299,9 @@ def canonical_torus_action(rows, orders, num_coords):
     classes = {}
     for j in range(n):
         classes.setdefault(m // gcd(m, *(v[j] for v in gens)), []).append(j)
-    ordered_classes = [classes[o] for o in sorted(classes, reverse=True)]
-    identity = list(range(n))
-    best = None
-    for arr in product(*(_class_arrangements(base, gens, c) for c in ordered_classes)):
-        cols = [j for group in arr for j in group]
-        if cols == identity:  # base is already this arrangement's Hermite form
-            form = base.rows
-        else:
-            form = linalg.hermite_normal_form(base.select_columns(cols)).rows
-        if best is None or form < best:
-            best = form
+    identity = tuple(range(n))  # base is already this arrangement's Hermite form
+    best = min(
+        base.rows if cols == identity else linalg.hermite_normal_form(base.select_columns(cols)).rows
+        for cols in _arrangements(base, gens, [classes[o] for o in sorted(classes, reverse=True)])
+    )
     return IntMatrix(best, ncols=n)

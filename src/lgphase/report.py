@@ -29,6 +29,7 @@ __all__ = [
     "build_phase_report",
     "stringify",
     "render_phase_table",
+    "WARN_RANK_DEFICIENT",
 ]
 
 WARN_RANK_DEFICIENT = "rank_deficient_gauge_group"
@@ -235,14 +236,17 @@ def build_phase_report(cm):
     })
 
 
+def _items(values):
+    """One table cell for a list of strings; ``(none)`` when it is empty."""
+    return ", ".join(values) or "(none)"
+
+
 def _matrix_lines(rows, indent="    "):
-    if not rows:
+    """Table lines of a matrix of strings, right-aligned; ``(empty)`` when it has no entries."""
+    if not rows or not rows[0]:
         return [indent + "(empty)"]
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))] if rows[0] else []
-    out = []
-    for r in rows:
-        out.append(indent + "  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    return out
+    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+    return [indent + "  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
 
 
 def _orbifold_lines(section, indent):
@@ -253,7 +257,7 @@ def _orbifold_lines(section, indent):
     group = " x ".join(f"Z{d}" for d in eff) if eff else "trivial"
     return [
         f"{indent}orbifold group: {group} "
-        f"(invariant factors {', '.join(section['invariant_factors']) or '-'}; "
+        f"(invariant factors {_items(section['invariant_factors'])}; "
         f"order {section['group_order']})",
         indent + "action exponents (row a modulo factor a):",
         *_matrix_lines(section["action_exponents"]),
@@ -275,16 +279,16 @@ def render_phase_table(report):
         lines.append(f"warning: {warning}")
     lines.append(f"affine phases: {len(report['phases'])}")
     for k, entry in enumerate(report["phases"], start=1):
-        lines.append(f"phase {k}: chosen columns {', '.join(entry['chosen'])}")
-        lines.append(f"  vev fields: {', '.join(entry['vev_fields']) or '(none)'}")
-        lines.append(f"  lg fields: {', '.join(entry['lg_fields']) or '(none)'}")
+        lines.append(f"phase {k}: chosen columns {_items(entry['chosen'])}")
+        lines.append(f"  vev fields: {_items(entry['vev_fields'])}")
+        lines.append(f"  lg fields: {_items(entry['lg_fields'])}")
         lines.append("  row-reduced matrix:")
         lines.extend(_matrix_lines(entry["row_reduced"]))
         cone = entry["cone"]
         basis = " (reduced basis)" if cone["reduced_basis"] else ""
         lines.append(f"  cone generators{basis}:")
         lines.extend(_matrix_lines(cone["generators"]))
-        lines.append(f"  interior sample: {', '.join(cone['interior_sample'])}")
+        lines.append(f"  interior sample: {_items(cone['interior_sample'])}")
         lines.extend(_orbifold_lines(entry["orbifold"], "  "))
     eq = report["cross_phase"]["all_actions_equivalent"]
     shown = "n/a" if eq is None else ("yes" if eq else "no")

@@ -373,7 +373,7 @@ class TestOrbifoldCommand:
 
 
 class TestPinnedOutput:
-    """The ``--table`` text and the JSON of ``orbifold`` and ``polytope``, byte for byte.
+    """The ``--table`` text and the JSON of ``orbifold``, ``polytope`` and ``phases``, byte for byte.
 
     The table is built only under ``--table``; both renderings must read
     the same as the pinned text and the pinned SHA-256 of the JSON.
@@ -415,7 +415,42 @@ level: 1, -1
 membership: outside
 level is not interior to the phase cone; no verdict
 """, "b1cf7e06e9959d8bba6f9225565865f17ed720d75165bef2e9344a0343579e37"),
-    ], ids=["orbifold", "polytope-interior", "polytope-outside"])
+        # degenerate shapes: a matrix with no entries reads (empty), an
+        # empty list (none), and no line is blank or ends in a space
+        (["orbifold", "[[1]]", "--chosen", "0"], 0, """\
+chosen columns: 0
+orbifold group: trivial (invariant factors 1; order 1)
+action exponents (row a modulo factor a):
+    (empty)
+canonical action lattice:
+    (empty)
+""", "b378c11e82b04a2e9a454aaaa12861c2940156e5b15e7b531bb4c3ec93eca3aa"),
+        (["phases", "[[0]]"], 0, """\
+charge matrix: 1 x 1, rank 0
+warning: rank_deficient_gauge_group
+affine phases: 1
+phase 1: chosen columns (none)
+  vev fields: (none)
+  lg fields: 0
+  row-reduced matrix:
+    (empty)
+  cone generators (reduced basis):
+    (empty)
+  interior sample: 0
+  orbifold: unavailable (rank-deficient gauge group)
+cross-phase: all actions equivalent: n/a
+""", "5bd2c53d89c4e6c281bc61ddb9e621890aabdfa8bae0c43f59cea508da24aeb9"),
+        (["polytope", "[[1]]", "--chosen", "0", "--level", "1"], 0, """\
+chosen columns: 0
+level: 1
+membership: interior
+lift: 1
+half-spaces (normal | offset):
+    (empty)  |  1
+simplicial cone: yes
+""", "ae0740dc9a5c1c1b62f16f3e1bddd961869b5a6cba461c6b318ca5662fe364c2"),
+    ], ids=["orbifold", "polytope-interior", "polytope-outside",
+            "orbifold-trivial", "phases-rank-zero", "polytope-point"])
     def test_table_and_json_bytes(self, capsys, argv, code, table, json_sha256):
         assert run(capsys, [*argv, "--table"]) == (code, table)
         for flags in ([], ["--json"]):

@@ -1,6 +1,9 @@
 """Residual group data: pinned models, oracles, and presentation invariance."""
 
 import random
+import sys
+import tracemalloc
+from itertools import permutations, product
 from math import gcd, lcm
 
 import pytest
@@ -386,3 +389,71 @@ class TestIntegerSteps:
                     assert fixed == swap_fixes_all_rows(base, i, j)
                     verdicts.add(fixed)
         assert verdicts == {True, False}
+
+
+def arrangement_walk(rows, orders, n):
+    """``(base, classes, walk)`` of a nontrivial action: its rescaled Hermite
+    basis, its equal-order classes read off that basis, and the search's walk."""
+    m, base, gens = orbifold._rescaled_lattice(rows, orders, n)
+    proj = [m // gcd(m, *(row[j] for row in base.rows)) for j in range(n)]
+    classes = [[j for j in range(n) if proj[j] == o] for o in sorted(set(proj), reverse=True)]
+    return base, classes, orbifold._arrangements(base, gens, classes)
+
+
+def readme_product(k):
+    """The Z4^k action of ``k`` disjoint copies of the README model's Z4 phase."""
+    n = 4 * k
+    return [tuple(int(j // 4 == a) for j in range(n)) for a in range(k)], [4] * k, n
+
+
+class TestArrangementWalk:
+    """The lazy walk of the permutation search: complete, without repeats, and in bounded memory."""
+
+    def test_reaches_every_form(self):
+        # the Hermite forms over the walk are those over every permutation
+        # inside each class, though the walk is far shorter on most draws
+        rng = random.Random(151)
+        pruned = 0
+        for _ in range(200):
+            rows, orders, n = random_action(rng, 6)
+            if orbifold._rescaled_lattice(rows, orders, n)[0] == 1:
+                continue
+            base, classes, walk = arrangement_walk(rows, orders, n)
+            walk = list(walk)
+            every = {tuple(j for p in arr for j in p)
+                     for arr in product(*(permutations(c) for c in classes))}
+            assert len(set(walk)) == len(walk)
+            assert set(walk) <= every
+            assert {linalg.hermite_normal_form(base.select_columns(c)) for c in walk} == \
+                {linalg.hermite_normal_form(base.select_columns(c)) for c in every}
+            pruned += len(walk) < len(every)
+        assert pruned > 100
+
+    def test_readme_product_count(self):
+        # one class of three swap blocks of four that swap wholesale:
+        # 12! / (4!^3 * 3!) label sequences
+        base, classes, walk = arrangement_walk(*readme_product(3))
+        assert [len(c) for c in classes] == [12]
+        assert sum(1 for _ in walk) == 5775
+
+    def test_walk_is_lazy(self):
+        # k = 4 keeps 2 627 625 arrangements; the first ten thousand must
+        # come without the rest being held
+        tracemalloc.start()
+        try:
+            walk = arrangement_walk(*readme_product(4))[2]
+            for _ in zip(range(10_000), walk):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # K over P^(n-1) with n past the interpreter's recursion limit: one
+        # block, so one arrangement, the identity, from a walk that keeps
+        # its positions in a list rather than on the call stack
+        n = sys.getrecursionlimit() + 100
+        base = IntMatrix(((1,) * n, *(tuple(n * (i == j) for j in range(n)) for i in range(1, n))), ncols=n)
+        walk = orbifold._arrangements(base, [(1,) * n], [list(range(n))])
+        assert list(walk) == [tuple(range(n))]

@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves and has a caller, and every
-benchmark-traced function resolves."""
+"""The public surface: the package exports exactly its modules' lists, every
+exported name resolves and has a caller, and every benchmark-traced function
+resolves."""
 
 import ast
 import importlib
@@ -21,6 +22,15 @@ def traced_functions():
         ):
             return list(ast.literal_eval(node.value))
     raise AssertionError(f"no WRAPPED dict in {SPANS}")
+
+
+def test_package_exports_the_module_lists():
+    expected = ["__version__"]
+    for module in MODULES:
+        if module != "cli":
+            expected += importlib.import_module(f"lgphase.{module}").__all__
+    assert lgphase.__all__ == expected
+    assert len(set(expected)) == len(expected)
 
 
 def test_every_exported_name_resolves():
